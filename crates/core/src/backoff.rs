@@ -1,10 +1,9 @@
 //! Shared exponential-backoff machinery.
 //!
-//! Three subsystems retry with backoff: the ar-net runtime retransmits
-//! lost tokens, the legacy TCP client redials a restarted daemon, and
-//! the service-tier client resumes its session after a connection
-//! drop. They used to carry three hand-rolled doubling loops; this
-//! module is the one implementation they all share.
+//! Two subsystems retry with backoff: the ar-net runtime retransmits
+//! lost tokens, and the service-tier client redials and resumes its
+//! session after a connection drop or a daemon restart. This module
+//! is the one implementation they share.
 //!
 //! Two shapes are provided:
 //!

@@ -224,13 +224,6 @@ impl DaemonHandle {
         self.pid
     }
 
-    /// The command channel (used by the TCP session layer and the
-    /// `ar-svc` service tier to register remote clients through the
-    /// same path as in-process ones).
-    pub(crate) fn command_sender(&self) -> Sender<Command> {
-        self.cmd_tx.clone()
-    }
-
     /// The shared backpressure gauge the daemon loop refreshes every
     /// iteration (send-queue depth for the service tier's credit
     /// throttling).

@@ -32,7 +32,8 @@ pub struct DaemonEntry {
     pub pid: ParticipantId,
     /// Protocol socket addresses (token + data).
     pub addrs: PeerAddrs,
-    /// Optional TCP address where this daemon accepts remote clients.
+    /// Optional TCP address where this daemon serves the `ar-svc`
+    /// client protocol (`ard --client-addr` overrides it).
     pub client_addr: Option<SocketAddr>,
 }
 

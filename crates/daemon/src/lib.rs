@@ -14,7 +14,10 @@
 //!   groups, and [`multicast`](DaemonClient::multicast) to any groups;
 //! * group membership changes travel through the ring's total order, so
 //!   every daemon sees every group's membership transition at the same
-//!   point of the message sequence.
+//!   point of the message sequence;
+//! * clients on the network reach the same API through the `ar-svc`
+//!   service tier, which bridges each remote session to a
+//!   [`DaemonClient`] obtained from a [`DaemonConnector`].
 //!
 //! ## Example: two daemons, two clients, one group
 //!
@@ -68,7 +71,6 @@ pub mod group;
 pub mod metrics;
 pub mod packing;
 pub mod proto;
-pub mod session;
 pub mod shard;
 pub mod sharded;
 
@@ -81,6 +83,5 @@ pub use deployconf::Deployment;
 pub use group::GroupTable;
 pub use metrics::{serve_metrics, MetricsServer, TelemetryHub};
 pub use proto::{Envelope, MemberId};
-pub use session::{ListenerHandle, ReconnectPolicy, RemoteClient};
 pub use shard::ShardMap;
 pub use sharded::ShardedDaemon;

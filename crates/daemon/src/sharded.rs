@@ -101,11 +101,6 @@ impl ShardedDaemon {
         self.map.shard_of(group)
     }
 
-    /// Shard `k`'s daemon handle.
-    pub fn shard(&self, k: usize) -> &DaemonHandle {
-        &self.shards[k]
-    }
-
     /// All shard handles, index = shard.
     pub fn shards(&self) -> &[DaemonHandle] {
         &self.shards
@@ -187,7 +182,7 @@ mod tests {
         // shard; the message comes back ordered by that ring.
         let deadline = Instant::now() + Duration::from_secs(30);
         for (shard, group) in [(sa, &ga), (sb, &gb)] {
-            let client = sharded.shard(shard).connect("sub").unwrap();
+            let client = sharded.shards()[shard].connect("sub").unwrap();
             client.join(group).unwrap();
             client
                 .multicast(&[group], ServiceType::Agreed, Bytes::from_static(b"hi"))

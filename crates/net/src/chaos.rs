@@ -2,9 +2,8 @@
 //! duplication, reordering, bounded delay, crashes, and one-way
 //! partitions, applied to both the inbound and outbound paths.
 //!
-//! [`ChaosTransport`] generalizes [`crate::lossy::LossyTransport`]: it
-//! wraps any [`Transport`] and perturbs traffic according to a
-//! [`ChaosConfig`]. Static perturbations (loss, duplication,
+//! [`ChaosTransport`] wraps any [`Transport`] and perturbs traffic
+//! according to a [`ChaosConfig`]. Static perturbations (loss, duplication,
 //! reordering, delay) are rolled from a seeded RNG so a run is
 //! reproducible given the seed; dynamic faults (crash, one-way blocks)
 //! are flipped at runtime through the shared [`ChaosControl`] handle,
@@ -654,6 +653,21 @@ mod tests {
             stats.kind(MsgKind::Data).received + stats.kind(MsgKind::Data).recv_dropped,
             200
         );
+        // Inbound loss is the same per-copy roll as outbound: roughly
+        // half, and the cross-kind totals agree with the per-kind view.
+        assert!(
+            (60..140).contains(&stats.total_recv_dropped()),
+            "inbound drops {}",
+            stats.total_recv_dropped()
+        );
+        assert_eq!(stats.total_received(), got as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "drop probability")]
+    fn full_loss_rejected() {
+        // A transport that drops everything can never make progress.
+        let _ = ChaosConfig::quiet(1).with_loss(1.0);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 
 pub mod chaos;
 pub mod loopback;
-pub mod lossy;
 pub mod metrics;
 pub mod nemesis;
 pub mod node;
@@ -56,7 +55,6 @@ pub mod udp;
 
 pub use chaos::{ChaosConfig, ChaosControl, ChaosStats, ChaosTransport, KindStats, MsgKind};
 pub use loopback::{LoopbackNet, LoopbackTransport};
-pub use lossy::LossyTransport;
 pub use metrics::NetMetrics;
 pub use nemesis::{NemesisOutcome, NemesisPlan, NemesisRunner};
 pub use node::{spawn, NodeHandle};

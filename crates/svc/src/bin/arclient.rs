@@ -1,15 +1,14 @@
 //! `arclient` — interactive client for an Accelerated Ring daemon
 //! (the `spuser` analog).
 //!
-//! Speaks the flow-controlled service-tier protocol by default;
-//! `--legacy` falls back to the original line protocol.
+//! Speaks the flow-controlled service-tier protocol.
 //!
 //! Dropped connections are redialed automatically with jittered
 //! backoff and the session resumed (exactly-once delivery across the
 //! seam); `--no-resume` restores the old exit-on-disconnect behavior.
 //!
 //! ```text
-//! usage: arclient [--legacy] [--no-resume] [--uds PATH] [<daemon-host:port>] <name>
+//! usage: arclient [--no-resume] [--uds PATH] [<daemon-host:port>] <name>
 //!
 //! commands:
 //!   join <group>
@@ -28,23 +27,18 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use ar_core::ServiceType;
-use ar_daemon::{ClientEvent, RemoteClient};
 use ar_svc::{PublishError, ResumePolicy, SvcClient, SvcEvent};
 use bytes::Bytes;
 
-const USAGE: &str =
-    "usage: arclient [--legacy] [--no-resume] [--uds PATH] [<daemon-host:port>] <name>";
+const USAGE: &str = "usage: arclient [--no-resume] [--uds PATH] [<daemon-host:port>] <name>";
 
 fn main() -> ExitCode {
-    let mut legacy = false;
     let mut no_resume = false;
     let mut uds: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--legacy" {
-            legacy = true;
-        } else if arg == "--no-resume" {
+        if arg == "--no-resume" {
             no_resume = true;
         } else if arg == "--uds" {
             match args.next() {
@@ -56,24 +50,12 @@ fn main() -> ExitCode {
             }
         } else if let Some(p) = arg.strip_prefix("--uds=") {
             uds = Some(p.to_string());
+        } else if arg.starts_with("--") {
+            eprintln!("arclient: unknown option '{arg}'\n{USAGE}");
+            return ExitCode::from(2);
         } else {
             positional.push(arg);
         }
-    }
-
-    if legacy {
-        let (Some(addr), Some(name)) = (positional.first(), positional.get(1)) else {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        };
-        let addr = match addr.parse() {
-            Ok(a) => a,
-            Err(_) => {
-                eprintln!("arclient: invalid address '{addr}'");
-                return ExitCode::from(2);
-            }
-        };
-        return run_legacy(addr, name);
     }
 
     let (addr, name) = match (&uds, positional.as_slice()) {
@@ -204,78 +186,6 @@ fn run_svc(mut client: SvcClient, name: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_legacy(addr: std::net::SocketAddr, name: &str) -> ExitCode {
-    let mut client = match RemoteClient::connect(addr, name) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("arclient: cannot connect: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("connected as {} (legacy protocol)", client.member_id());
-
-    let stdin = std::io::stdin();
-    print_prompt();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        for ev in client.drain() {
-            print_legacy_event(&ev);
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            print_prompt();
-            continue;
-        }
-        let mut parts = line.splitn(3, ' ');
-        let verb = parts.next().unwrap_or("");
-        match verb {
-            "quit" | "exit" => break,
-            "join" => match parts.next() {
-                Some(g) => {
-                    if let Err(e) = client.join(g) {
-                        eprintln!("join failed: {e}");
-                    }
-                }
-                None => eprintln!("usage: join <group>"),
-            },
-            "leave" => match parts.next() {
-                Some(g) => {
-                    if let Err(e) = client.leave(g) {
-                        eprintln!("leave failed: {e}");
-                    }
-                }
-                None => eprintln!("usage: leave <group>"),
-            },
-            "send" | "sends" => {
-                let service = if verb == "sends" {
-                    ServiceType::Safe
-                } else {
-                    ServiceType::Agreed
-                };
-                match (parts.next(), parts.next()) {
-                    (Some(groups), Some(text)) => {
-                        let gs: Vec<&str> = groups.split(',').collect();
-                        if let Err(e) =
-                            client.multicast(&gs, service, Bytes::from(text.to_string()))
-                        {
-                            eprintln!("send failed: {e}");
-                        }
-                    }
-                    _ => eprintln!("usage: {verb} <group>[,<group>...] <text>"),
-                }
-            }
-            other => eprintln!("unknown command '{other}' (join/leave/send/sends/quit)"),
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        for ev in client.drain() {
-            print_legacy_event(&ev);
-        }
-        print_prompt();
-    }
-    println!("bye");
-    ExitCode::SUCCESS
-}
-
 fn print_prompt() {
     print!("> ");
     let _ = std::io::stdout().flush();
@@ -328,36 +238,6 @@ fn print_svc_event(ev: &SvcEvent) {
             } else {
                 println!("[reconnected: session lost, started fresh (groups re-joined)]");
             }
-        }
-    }
-}
-
-fn print_legacy_event(ev: &ClientEvent) {
-    match ev {
-        ClientEvent::Message {
-            sender,
-            groups,
-            service,
-            ring_seq,
-            payload,
-            ..
-        } => {
-            println!(
-                "[{service} @{ring_seq}] {sender} -> {}: {}",
-                groups.join(","),
-                String::from_utf8_lossy(payload)
-            );
-        }
-        ClientEvent::Ordered { ring_seq, .. } => {
-            println!("[ordered @{ring_seq}]");
-        }
-        ClientEvent::Membership { group, members } => {
-            let names: Vec<String> = members.iter().map(|m| m.to_string()).collect();
-            println!("[membership] {group}: {{{}}}", names.join(", "));
-        }
-        ClientEvent::NetworkChange { daemons } => {
-            let names: Vec<String> = daemons.iter().map(|d| d.to_string()).collect();
-            println!("[network] daemons: {{{}}}", names.join(", "));
         }
     }
 }

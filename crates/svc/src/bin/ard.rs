@@ -3,9 +3,9 @@
 //! Runs one ring participant from a deployment file (see
 //! [`ar_daemon::deployconf`]) and serves local and remote clients,
 //! playing the role of the `spread` daemon binary. Clients connect
-//! through the flow-controlled service tier (`--client-addr` /
-//! `--client-uds`); the per-daemon `client_addr` from the deployment
-//! file still serves the legacy line protocol.
+//! through the flow-controlled service tier: over TCP on
+//! `--client-addr` (default: this daemon's `clients=` address in the
+//! deployment file) and/or a Unix socket on `--client-uds`.
 //!
 //! ```text
 //! usage: ard [--rings N] [--ring-port-stride P]
@@ -45,7 +45,7 @@ use ar_daemon::{
     serve_metrics, DaemonConfig, DaemonLogConfig, Deployment, ShardedDaemon, TelemetryHub,
 };
 use ar_log::FsyncPolicy;
-use ar_net::{LossyTransport, NetMetrics, UdpTransport};
+use ar_net::{ChaosConfig, ChaosTransport, NetMetrics, UdpTransport};
 use ar_svc::{serve_clients_sharded, SvcConfig, SvcListeners};
 
 const USAGE: &str = "usage: ard [--rings N] [--ring-port-stride P] [--metrics-addr ADDR] \
@@ -179,6 +179,9 @@ fn main() -> ExitCode {
             }
         } else if arg == "--no-safe-durable" {
             gate_safe = false;
+        } else if arg.starts_with("--") {
+            eprintln!("ard: unknown option '{arg}'\n{USAGE}");
+            return ExitCode::from(2);
         } else {
             positional.push(arg);
         }
@@ -308,7 +311,10 @@ fn main() -> ExitCode {
             let (part, transport) = parts[k].take().expect("each shard built once");
             (
                 part,
-                LossyTransport::new(transport, loss, loss_seed ^ k as u64),
+                ChaosTransport::new(
+                    transport,
+                    ChaosConfig::quiet(loss_seed ^ k as u64).with_loss(loss),
+                ),
                 config.clone(),
             )
         })
@@ -319,21 +325,22 @@ fn main() -> ExitCode {
         })
     };
 
-    // The flow-controlled service tier (the new client protocol).
-    let svc = if client_addr.is_some() || client_uds.is_some() {
-        let mut listeners = SvcListeners::default();
-        if let Some(addr) = &client_addr {
-            match addr.parse() {
-                Ok(a) => listeners.tcp = Some(a),
-                Err(_) => {
-                    eprintln!("ard: invalid --client-addr '{addr}'");
-                    return ExitCode::from(2);
-                }
+    // The client service tier: TCP on --client-addr, else on this
+    // daemon's `clients=` address from the deployment file.
+    let mut listeners = SvcListeners {
+        tcp: entry.client_addr,
+        uds: client_uds.map(Into::into),
+    };
+    if let Some(addr) = &client_addr {
+        match addr.parse() {
+            Ok(a) => listeners.tcp = Some(a),
+            Err(_) => {
+                eprintln!("ard: invalid --client-addr '{addr}'");
+                return ExitCode::from(2);
             }
         }
-        if let Some(path) = &client_uds {
-            listeners.uds = Some(path.into());
-        }
+    }
+    let svc = if listeners.tcp.is_some() || listeners.uds.is_some() {
         let mut svc_config = SvcConfig::default();
         if let Some(n) = max_clients {
             svc_config.max_clients = n;
@@ -364,33 +371,14 @@ fn main() -> ExitCode {
             }
         }
     } else {
+        println!("ard: no client listener configured (protocol-only daemon)");
         None
     };
-
-    // The legacy line-protocol listener from the deployment file
-    // (attached to shard 0; legacy clients see a single ring).
-    let listener = match entry.client_addr {
-        Some(addr) => match sharded.shard(0).listen(addr) {
-            Ok(l) => {
-                println!("ard: accepting legacy clients on {}", l.local_addr());
-                Some(l)
-            }
-            Err(e) => {
-                eprintln!("ard: cannot listen for clients on {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    if svc.is_none() && listener.is_none() {
-        println!("ard: no client listener configured (protocol-only daemon)");
-    }
 
     // Run until interrupted.
     println!("ard: running; press Ctrl-C to stop");
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
-        let _ = &listener;
         let _ = &metrics_server;
         let _ = &svc;
     }

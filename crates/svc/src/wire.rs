@@ -7,9 +7,8 @@
 //! input was truncated or flipped (property-tested in
 //! `tests/svc_wire_props.rs`).
 //!
-//! Unlike the legacy session protocol (`ar_daemon::session`), this
-//! protocol is explicitly versioned (Hello/Welcome exchange a version
-//! number) and carries the flow-control machinery: client-assigned
+//! The protocol is explicitly versioned (Hello/Welcome exchange a
+//! version number) and carries the flow-control machinery: client-assigned
 //! publish ids, per-connection delivery sequence numbers for window
 //! acking, credit grants, and eviction notices.
 

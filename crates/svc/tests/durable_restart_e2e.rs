@@ -9,13 +9,21 @@
 //!   exit cleanly (Safe delivery is gated on durability);
 //! * the surviving clients observed identical Safe streams
 //!   (total order is preserved across the faults).
+//!
+//! The daemons take their client listener from the deployment file's
+//! `clients=` address; a second test pins that rule down (the file's
+//! address serves the service-tier protocol, `--client-addr`
+//! overrides it, and a pre-service-tier client is turned away).
 
-use std::net::{TcpListener, UdpSocket};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ar_daemon::{ClientEvent, RemoteClient};
+use ar_core::ServiceType;
 use ar_log::read_log_dir;
+use ar_svc::wire::{decode_server, FrameBuf};
+use ar_svc::{ServerFrame, SvcClient, SvcEvent};
 use bytes::Bytes;
 
 fn wait_for<F: FnMut() -> bool>(mut f: F, secs: u64) -> bool {
@@ -48,18 +56,20 @@ fn pick_ports(udp: usize, tcp: usize) -> (Vec<u16>, Vec<u16>) {
 struct Ard(Child);
 
 impl Ard {
-    fn spawn(conf: &std::path::Path, id: u16, log_dir: &std::path::Path, loss: bool) -> Ard {
+    /// `ard <flags> <conf> <id>`.
+    fn spawn_with(conf: &std::path::Path, id: u16, flags: &[&str]) -> Ard {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_ard"));
-        cmd.arg("--log-dir")
-            .arg(log_dir)
-            .arg("--fsync")
-            .arg("every:4");
-        if loss {
-            cmd.arg("--loss").arg("0.02").arg("--loss-seed").arg("9");
-        }
-        cmd.arg(conf).arg(id.to_string());
+        cmd.args(flags).arg(conf).arg(id.to_string());
         cmd.stdout(Stdio::null()).stderr(Stdio::null());
         Ard(cmd.spawn().expect("spawn ard"))
+    }
+
+    fn spawn(conf: &std::path::Path, id: u16, log_dir: &std::path::Path, loss: bool) -> Ard {
+        let mut flags = vec!["--log-dir", log_dir.to_str().unwrap(), "--fsync", "every:4"];
+        if loss {
+            flags.extend(["--loss", "0.02", "--loss-seed", "9"]);
+        }
+        Ard::spawn_with(conf, id, &flags)
     }
 
     /// SIGKILL — the process gets no chance to flush or fsync.
@@ -78,11 +88,11 @@ impl Drop for Ard {
 
 /// Connects with retries: the daemon binds its client listener a
 /// moment after the process starts.
-fn connect(addr: &str, name: &str) -> RemoteClient {
-    let addr: std::net::SocketAddr = addr.parse().unwrap();
+fn connect(addr: &str, name: &str) -> SvcClient {
+    let addr: SocketAddr = addr.parse().unwrap();
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        match RemoteClient::connect(addr, name) {
+        match SvcClient::connect_tcp(addr, name) {
             Ok(c) => return c,
             Err(e) => {
                 assert!(Instant::now() < deadline, "connect {name} to {addr}: {e}");
@@ -94,14 +104,19 @@ fn connect(addr: &str, name: &str) -> RemoteClient {
 
 /// Drains `c`, appending Safe payloads to `stream` and tracking the
 /// latest group size.
-fn drain_into(c: &mut RemoteClient, stream: &mut Vec<Bytes>, members: &mut usize) {
+fn drain_into(c: &mut SvcClient, stream: &mut Vec<Bytes>, members: &mut usize) {
     for ev in c.drain() {
         match ev {
-            ClientEvent::Message { payload, .. } => stream.push(payload),
-            ClientEvent::Membership { members: m, .. } => *members = m.len(),
+            SvcEvent::Deliver { payload, .. } => stream.push(payload),
+            SvcEvent::Membership { members: m, .. } => *members = m.len(),
             _ => {}
         }
     }
+}
+
+fn publish_safe(c: &mut SvcClient, payload: Bytes) {
+    c.publish(&["g"], ServiceType::Safe, payload, Duration::from_secs(30))
+        .expect("publish");
 }
 
 #[test]
@@ -154,12 +169,7 @@ fn kill9_mid_recovery_loses_no_safe_delivery() {
     // Safe traffic from every corner of the ring.
     for k in 0..4 {
         for (c, who) in [(&mut c0, "c0"), (&mut c1, "c1"), (&mut c2, "c2")] {
-            c.multicast(
-                &["g"],
-                ar_core::ServiceType::Safe,
-                Bytes::from(format!("{who}-m{k}")),
-            )
-            .unwrap();
+            publish_safe(c, Bytes::from(format!("{who}-m{k}")));
         }
     }
     assert!(
@@ -220,12 +230,7 @@ fn kill9_mid_recovery_loses_no_safe_delivery() {
     );
 
     // Post-chaos Safe traffic flows end-to-end again.
-    c0.multicast(
-        &["g"],
-        ar_core::ServiceType::Safe,
-        Bytes::from_static(b"post-chaos"),
-    )
-    .unwrap();
+    publish_safe(&mut c0, Bytes::from_static(b"post-chaos"));
     assert!(
         wait_for(
             || {
@@ -292,6 +297,98 @@ fn kill9_mid_recovery_loses_no_safe_delivery() {
             String::from_utf8_lossy(p)
         );
     }
+
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// What a pre-service-tier `arclient` opened a session with: a
+/// big-endian `u32` frame length, kind byte 1, then the `u16`-prefixed
+/// client name (no protocol version).
+fn old_line_protocol_hello(name: &str) -> Vec<u8> {
+    let mut body = vec![1u8];
+    body.extend((name.len() as u16).to_be_bytes());
+    body.extend(name.as_bytes());
+    let mut framed = (body.len() as u32).to_be_bytes().to_vec();
+    framed.extend(body);
+    framed
+}
+
+/// One listener, one protocol: the deployment file's `clients=`
+/// address serves the service tier when no `--client-addr` is given,
+/// `--client-addr` replaces it, and a client still speaking the
+/// removed line protocol is refused and disconnected.
+#[test]
+fn clients_address_serves_the_service_tier() {
+    let base = std::env::temp_dir().join(format!("ar-listener-e2e-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let (udp, tcp) = pick_ports(2, 2);
+    let conf_path = base.join("ar.conf");
+    std::fs::write(
+        &conf_path,
+        format!(
+            "protocol accelerated\ndaemon 0 token=127.0.0.1:{} data=127.0.0.1:{} clients=127.0.0.1:{}\n",
+            udp[0], udp[1], tcp[0],
+        ),
+    )
+    .unwrap();
+    let file_addr = format!("127.0.0.1:{}", tcp[0]);
+    let flag_addr = format!("127.0.0.1:{}", tcp[1]);
+
+    // No client flags: the file's address speaks the service tier.
+    let d0 = Ard::spawn_with(&conf_path, 0, &[]);
+    let mut alice = connect(&file_addr, "alice");
+    alice.join("g").unwrap();
+    publish_safe(&mut alice, Bytes::from_static(b"hello"));
+    let (mut stream, mut members) = (Vec::new(), 0);
+    assert!(
+        wait_for(
+            || {
+                drain_into(&mut alice, &mut stream, &mut members);
+                !stream.is_empty()
+            },
+            30
+        ),
+        "join + publish + deliver through the clients= listener"
+    );
+    assert_eq!(stream, [Bytes::from_static(b"hello")]);
+
+    // A line-protocol Hello is answered with a refusal (if anything)
+    // and the connection is closed: no hang, no session.
+    let mut old = TcpStream::connect(&file_addr).unwrap();
+    old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    old.write_all(&old_line_protocol_hello("bob")).unwrap();
+    let mut reply = FrameBuf::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match old.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => reply.extend(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("server neither answered nor closed: {e}"),
+        }
+    }
+    while let Some(frame) = reply.next_frame().expect("well-formed reply") {
+        let frame = decode_server(&frame).expect("well-formed reply");
+        assert!(
+            matches!(
+                frame,
+                ServerFrame::Refused { .. } | ServerFrame::Evicted { .. }
+            ),
+            "old-protocol client must not be welcomed: {frame:?}"
+        );
+    }
+    // The daemon shrugged it off and still serves real clients.
+    drop(connect(&file_addr, "carol"));
+    drop(alice);
+    drop(d0);
+
+    // --client-addr overrides the file: the flag's address serves,
+    // the file's address is not bound.
+    let _d0 = Ard::spawn_with(&conf_path, 0, &["--client-addr", &flag_addr]);
+    drop(connect(&flag_addr, "dave"));
+    let err = TcpStream::connect(&file_addr).expect_err("clients= must not be bound");
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
 
     std::fs::remove_dir_all(&base).unwrap();
 }

@@ -10,8 +10,9 @@
 use std::time::{Duration, Instant};
 
 use accelerated_ring::core::{Participant, ParticipantId, ProtocolConfig, ServiceType};
-use accelerated_ring::daemon::{spawn_daemon, ClientEvent, ListenerHandle};
+use accelerated_ring::daemon::spawn_daemon;
 use accelerated_ring::net::{LoopbackNet, NemesisPlan, NemesisRunner};
+use accelerated_ring::svc::{serve_clients, SvcClient, SvcConfig, SvcEvent, SvcListeners};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -59,33 +60,41 @@ fn main() {
     };
     let d0 = spawn_daemon(mk(members[0]), net.endpoint(members[0]));
     let d1 = spawn_daemon(mk(members[1]), net.endpoint(members[1]));
-    let l0 = d0.listen("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr0 = l0.local_addr();
+    let listen_on = |addr: std::net::SocketAddr| SvcListeners {
+        tcp: Some(addr),
+        uds: None,
+    };
+    let any = "127.0.0.1:0".parse().unwrap();
+    let l0 = serve_clients(&d0, listen_on(any), SvcConfig::default()).unwrap();
+    let addr0 = l0.tcp_addr().unwrap();
 
-    let mut alice = accelerated_ring::daemon::RemoteClient::connect(addr0, "alice").unwrap();
+    let mut alice = SvcClient::connect_tcp(addr0, "alice").unwrap();
     alice.join("room").unwrap();
     wait(|| {
         alice
             .drain()
             .iter()
-            .any(|ev| matches!(ev, ClientEvent::Membership { members, .. } if members.len() == 1))
+            .any(|ev| matches!(ev, SvcEvent::Membership { members, .. } if members.len() == 1))
     });
     println!("  alice joined 'room' via {addr0}");
 
+    // A crash as the client sees it: the link dies without a Goodbye
+    // or an Evicted notice, then the listener and the daemon go away.
+    alice.sever();
     drop(l0);
     d0.shutdown().unwrap();
     net.detach(members[0]);
-    println!("  daemon 0 killed (listener dropped, socket shut)");
+    println!("  daemon 0 killed (link severed, listener dropped)");
 
     let d0b = spawn_daemon(
         Participant::new_singleton(members[0], ProtocolConfig::accelerated()).unwrap(),
         net.endpoint(members[0]),
     );
-    let _l0b: ListenerHandle = d0b.listen(addr0).unwrap();
+    let l0b = serve_clients(&d0b, listen_on(addr0), SvcConfig::default()).unwrap();
     println!("  daemon 0 restarted on the same port as a fresh singleton");
 
     wait(|| {
-        let _ = alice.multicast(
+        let _ = alice.try_publish(
             &["room"],
             ServiceType::Agreed,
             bytes::Bytes::from_static(b"hi"),
@@ -93,14 +102,15 @@ fn main() {
         alice
             .drain()
             .iter()
-            .any(|ev| matches!(ev, ClientEvent::Membership { members, .. } if members.len() == 1))
+            .any(|ev| matches!(ev, SvcEvent::Membership { members, .. } if members.len() == 1))
     });
     println!(
-        "  alice is back in 'room' after {} reconnect attempt(s)",
+        "  alice is back in 'room' (fresh session, group re-joined) after {} reconnect(s)",
         alice.reconnects()
     );
 
     drop(alice);
+    drop(l0b);
     d0b.shutdown().unwrap();
     d1.shutdown().unwrap();
     println!("  clean shutdown");

@@ -8,8 +8,9 @@
 use std::time::{Duration, Instant};
 
 use accelerated_ring::core::{Participant, RingId, ServiceType};
-use accelerated_ring::daemon::{spawn_daemon, ClientEvent, Deployment, RemoteClient};
+use accelerated_ring::daemon::{spawn_daemon, Deployment};
 use accelerated_ring::net::UdpTransport;
+use accelerated_ring::svc::{serve_clients, SvcClient, SvcConfig, SvcEvent, SvcListeners};
 use bytes::Bytes;
 
 const CONFIG: &str = "\
@@ -37,24 +38,33 @@ fn main() {
         let part = Participant::new(entry.pid, deployment.protocol, ring_id, members.clone())
             .expect("valid ring");
         let handle = spawn_daemon(part, transport);
-        let listener = handle
-            .listen(entry.client_addr.expect("configured"))
-            .expect("listen for clients");
+        let listener = serve_clients(
+            &handle,
+            SvcListeners {
+                tcp: entry.client_addr,
+                uds: None,
+            },
+            SvcConfig::default(),
+        )
+        .expect("listen for clients");
         println!(
             "daemon {} up: protocol on {}, clients on {}",
             entry.pid,
             entry.addrs.token,
-            listener.local_addr()
+            listener.tcp_addr().expect("configured")
         );
         daemons.push(handle);
         listeners.push(listener);
     }
 
     // Three chat clients, one per daemon, over TCP.
-    let mut clients: Vec<RemoteClient> = listeners
+    let mut clients: Vec<SvcClient> = listeners
         .iter()
         .enumerate()
-        .map(|(i, l)| RemoteClient::connect(l.local_addr(), &format!("user{i}")).expect("connect"))
+        .map(|(i, l)| {
+            SvcClient::connect_tcp(l.tcp_addr().expect("configured"), &format!("user{i}"))
+                .expect("connect")
+        })
         .collect();
     for c in clients.iter_mut() {
         c.join("chat").expect("join");
@@ -64,9 +74,9 @@ fn main() {
     let deadline = Instant::now() + Duration::from_secs(15);
     let mut sizes = vec![0usize; clients.len()];
     while sizes.iter().any(|&s| s < 3) && Instant::now() < deadline {
-        for (i, c) in clients.iter().enumerate() {
+        for (i, c) in clients.iter_mut().enumerate() {
             for ev in c.drain() {
-                if let ClientEvent::Membership { members, .. } = ev {
+                if let SvcEvent::Membership { members, .. } = ev {
                     sizes[i] = members.len();
                 }
             }
@@ -78,10 +88,11 @@ fn main() {
     // Everyone talks at once.
     for (i, c) in clients.iter_mut().enumerate() {
         for k in 0..3 {
-            c.multicast(
+            c.publish(
                 &["chat"],
                 ServiceType::Agreed,
                 Bytes::from(format!("user{i} says {k}")),
+                Duration::from_secs(15),
             )
             .expect("send");
         }
@@ -91,9 +102,9 @@ fn main() {
     let mut logs: Vec<Vec<String>> = vec![Vec::new(); clients.len()];
     let deadline = Instant::now() + Duration::from_secs(15);
     while logs.iter().any(|l| l.len() < 9) && Instant::now() < deadline {
-        for (i, c) in clients.iter().enumerate() {
+        for (i, c) in clients.iter_mut().enumerate() {
             for ev in c.drain() {
-                if let ClientEvent::Message {
+                if let SvcEvent::Deliver {
                     sender, payload, ..
                 } = ev
                 {
@@ -115,6 +126,7 @@ fn main() {
     );
 
     drop(clients);
+    drop(listeners);
     for d in daemons {
         d.shutdown().expect("clean shutdown");
     }

@@ -7,6 +7,7 @@
 //! consumer that is evicted by policy without perturbing healthy
 //! clients.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -212,12 +213,13 @@ fn credit_stall_releases_as_messages_reach_agreed() {
 #[test]
 fn slow_consumer_is_evicted_without_perturbing_others() {
     const MSGS: usize = 64;
+    const MAX_PENDING: usize = 8;
     let (_net, daemon) = single_daemon();
     let config = SvcConfig {
         flow: FlowConfig {
             publish_credits: 128,
             delivery_window: 4,
-            max_pending: 8,
+            max_pending: MAX_PENDING,
             max_write_buffer: 1 << 20,
         },
         ..SvcConfig::default()
@@ -236,6 +238,8 @@ fn slow_consumer_is_evicted_without_perturbing_others() {
     // The healthy consumer drains (and auto-acks) concurrently — a
     // consumer that keeps up never accumulates backlog, so the small
     // pending bound chosen to trip the slow one never applies to it.
+    let healthy_progress = Arc::new(AtomicUsize::new(0));
+    let progress = Arc::clone(&healthy_progress);
     let consumer_thread = std::thread::spawn(move || {
         let mut got = Vec::new();
         let deadline = Instant::now() + DEADLINE;
@@ -249,19 +253,31 @@ fn slow_consumer_is_evicted_without_perturbing_others() {
                 healthy.recv(Duration::from_millis(100))
             {
                 got.push(String::from_utf8(payload.to_vec()).unwrap());
+                progress.store(got.len(), Ordering::Release);
             }
         }
         (healthy, got)
     });
 
-    // Pace the publisher so the pending bound measures consumer
-    // progress, not burst arrival: a consumer that acks keeps its
-    // backlog near zero; one that never acks still accumulates every
-    // message past its window.
+    // Pace the publisher on the healthy consumer's observed progress,
+    // not on the clock: it never runs more than half of `max_pending`
+    // ahead of what the healthy consumer has received (and therefore
+    // acked; the other half is slack for acks still in flight), so a
+    // consumer that is merely descheduled under parallel test load
+    // cannot trip the backlog policy. One that never acks still
+    // accumulates every message past its window.
     let mut publisher = SvcClient::connect_tcp(addr, "pub").expect("connect");
     let mut slow_deliveries = 0;
     let mut evict_reason = None;
+    let deadline = Instant::now() + DEADLINE;
     for k in 0..MSGS {
+        while k >= healthy_progress.load(Ordering::Acquire) + MAX_PENDING / 2 {
+            assert!(
+                Instant::now() < deadline && !consumer_thread.is_finished(),
+                "healthy consumer stopped making progress at {k}"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
         publisher
             .publish(
                 &["g"],
@@ -272,10 +288,12 @@ fn slow_consumer_is_evicted_without_perturbing_others() {
             .expect("publish");
         // Keep the slow consumer reading (but never acking), so its
         // eviction is triggered by the ack window, not a full socket.
-        match slow.recv(Duration::from_millis(5)) {
-            Some(SvcEvent::Deliver { .. }) => slow_deliveries += 1,
-            Some(SvcEvent::Evicted { reason }) => evict_reason = Some(reason),
-            _ => {}
+        while let Some(ev) = slow.recv(Duration::ZERO) {
+            match ev {
+                SvcEvent::Deliver { .. } => slow_deliveries += 1,
+                SvcEvent::Evicted { reason } => evict_reason = Some(reason),
+                _ => {}
+            }
         }
     }
 

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use accelerated_ring::core::{
     Participant, ParticipantId, ProtocolConfig, RingId, ServiceType, TimeoutConfig,
 };
-use accelerated_ring::net::{spawn, AppEvent, LoopbackNet, LossyTransport};
+use accelerated_ring::net::{spawn, AppEvent, ChaosConfig, ChaosTransport, LoopbackNet};
 use bytes::Bytes;
 
 #[test]
@@ -31,7 +31,10 @@ fn lossy_ring_recovers_and_keeps_total_order() {
                 Participant::new(p, ProtocolConfig::accelerated(), ring_id, members.clone())
                     .unwrap();
             part.set_timeouts(timeouts).expect("valid timeouts");
-            let lossy = LossyTransport::new(net.endpoint(p), 0.10, p.as_u16() as u64 + 99);
+            let lossy = ChaosTransport::new(
+                net.endpoint(p),
+                ChaosConfig::quiet(p.as_u16() as u64 + 99).with_loss(0.10),
+            );
             spawn(part, lossy)
         })
         .collect();

@@ -1,12 +1,12 @@
-//! End-to-end test of the remote (TCP) client sessions: two daemons on
-//! loopback transports, clients connecting over real TCP sockets.
+//! End-to-end test of remote (TCP) clients: two daemons on loopback
+//! transports, each serving the client protocol on a real TCP socket.
 
-use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use accelerated_ring::core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType};
-use accelerated_ring::daemon::{spawn_daemon, ClientEvent, RemoteClient};
+use accelerated_ring::daemon::{spawn_daemon, MemberId};
 use accelerated_ring::net::LoopbackNet;
+use accelerated_ring::svc::{serve_clients, SvcClient, SvcConfig, SvcEvent, SvcListeners};
 use bytes::Bytes;
 
 fn wait_for<F: FnMut() -> bool>(mut f: F, secs: u64) -> bool {
@@ -34,44 +34,52 @@ fn tcp_clients_join_and_exchange_ordered_messages() {
         })
         .collect();
     // Listen on OS-assigned ports.
-    let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
-    let l0 = daemons[0].listen(any).expect("listen d0");
-    let l1 = daemons[1].listen(any).expect("listen d1");
+    let any = SvcListeners {
+        tcp: Some("127.0.0.1:0".parse().unwrap()),
+        uds: None,
+    };
+    let l0 = serve_clients(&daemons[0], any.clone(), SvcConfig::default()).expect("listen d0");
+    let l1 = serve_clients(&daemons[1], any, SvcConfig::default()).expect("listen d1");
+    let addr0 = l0.tcp_addr().unwrap();
 
-    let mut alice = RemoteClient::connect(l0.local_addr(), "alice").expect("connect alice");
-    let mut bob = RemoteClient::connect(l1.local_addr(), "bob").expect("connect bob");
-    assert_eq!(alice.member_id().client, "alice");
+    let mut alice = SvcClient::connect_tcp(addr0, "alice").expect("connect alice");
+    let mut bob = SvcClient::connect_tcp(l1.tcp_addr().unwrap(), "bob").expect("connect bob");
+    assert_eq!(alice.daemon(), 0);
+    assert_eq!(bob.daemon(), 1);
 
     alice.join("room").unwrap();
     bob.join("room").unwrap();
     // Both see a 2-member group.
-    let mut n = 0;
+    let mut room = Vec::new();
     assert!(
         wait_for(
             || {
                 for ev in alice.drain() {
-                    if let ClientEvent::Membership { members, .. } = ev {
-                        n = members.len();
+                    if let SvcEvent::Membership { members, .. } = ev {
+                        room = members;
                     }
                 }
-                n == 2
+                room.len() == 2
             },
             20
         ),
         "membership over TCP"
     );
+    assert!(room.contains(&MemberId::new(members[0], "alice")));
+    assert!(room.contains(&MemberId::new(members[1], "bob")));
 
-    bob.multicast(
+    bob.publish(
         &["room"],
         ServiceType::Agreed,
         Bytes::from_static(b"over-tcp"),
+        Duration::from_secs(20),
     )
     .unwrap();
     let mut got = None;
     assert!(wait_for(
         || {
             for ev in alice.drain() {
-                if let ClientEvent::Message {
+                if let SvcEvent::Deliver {
                     payload, sender, ..
                 } = ev
                 {
@@ -87,7 +95,7 @@ fn tcp_clients_join_and_exchange_ordered_messages() {
     assert_eq!(sender.client, "bob");
 
     // Duplicate names are refused at connect time.
-    let err = RemoteClient::connect(l0.local_addr(), "alice").unwrap_err();
+    let err = SvcClient::connect_tcp(addr0, "alice").unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
 
     // Disconnecting a client leaves its groups (watcher sees a
@@ -98,7 +106,7 @@ fn tcp_clients_join_and_exchange_ordered_messages() {
         wait_for(
             || {
                 for ev in alice.drain() {
-                    if let ClientEvent::Membership { members, .. } = ev {
+                    if let SvcEvent::Membership { members, .. } = ev {
                         n = members.len();
                     }
                 }
@@ -110,6 +118,8 @@ fn tcp_clients_join_and_exchange_ordered_messages() {
     );
 
     drop(alice);
+    l0.shutdown().expect("clean shutdown");
+    l1.shutdown().expect("clean shutdown");
     for d in daemons {
         d.shutdown().expect("clean shutdown");
     }

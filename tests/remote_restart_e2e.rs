@@ -1,19 +1,19 @@
 //! End-to-end test of remote-client recovery: a TCP client survives
-//! its daemon being shut down and restarted on the same port. The
-//! client transparently redials with bounded exponential backoff,
-//! re-runs the handshake, and re-joins its groups; the restarted
-//! daemon (a fresh singleton incarnation) merges back into the ring
-//! through the membership protocol.
+//! its daemon dying and restarting on the same port. The client
+//! redials with bounded exponential backoff and presents its resume
+//! token; the restarted daemon has never heard of the session, so the
+//! client falls back to a fresh one and re-joins its groups; the
+//! restarted daemon (a fresh singleton incarnation) merges back into
+//! the ring through the membership protocol.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use accelerated_ring::core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType};
-use accelerated_ring::daemon::{
-    spawn_daemon, spawn_daemon_with, ClientEvent, DaemonConfig, DaemonLogConfig, RemoteClient,
-};
+use accelerated_ring::daemon::{spawn_daemon, spawn_daemon_with, DaemonConfig, DaemonLogConfig};
 use accelerated_ring::log::{read_log_dir, FsyncPolicy};
 use accelerated_ring::net::LoopbackNet;
+use accelerated_ring::svc::{serve_clients, SvcClient, SvcConfig, SvcEvent, SvcListeners};
 use bytes::Bytes;
 
 fn wait_for<F: FnMut() -> bool>(mut f: F, secs: u64) -> bool {
@@ -25,6 +25,17 @@ fn wait_for<F: FnMut() -> bool>(mut f: F, secs: u64) -> bool {
         std::thread::sleep(Duration::from_millis(10));
     }
     false
+}
+
+/// Drains `c`, returning the latest group size it reported (if any).
+fn latest_members(c: &mut SvcClient) -> Option<usize> {
+    c.drain()
+        .into_iter()
+        .filter_map(|ev| match ev {
+            SvcEvent::Membership { members, .. } => Some(members.len()),
+            _ => None,
+        })
+        .last()
 }
 
 #[test]
@@ -61,29 +72,25 @@ fn restart_roundtrip(durable: bool) {
     };
     let d0 = spawn_daemon_with(mk(members[0]), net.endpoint(members[0]), d0_config());
     let d1 = spawn_daemon(mk(members[1]), net.endpoint(members[1]));
+    let listen_on = |addr: SocketAddr| SvcListeners {
+        tcp: Some(addr),
+        uds: None,
+    };
     let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
-    let l0 = d0.listen(any).expect("listen d0");
-    let l1 = d1.listen(any).expect("listen d1");
-    let addr0 = l0.local_addr();
+    let l0 = serve_clients(&d0, listen_on(any), SvcConfig::default()).expect("listen d0");
+    let l1 = serve_clients(&d1, listen_on(any), SvcConfig::default()).expect("listen d1");
+    let addr0 = l0.tcp_addr().unwrap();
 
-    let mut alice = RemoteClient::connect(addr0, "alice").expect("connect alice");
-    let mut bob = RemoteClient::connect(l1.local_addr(), "bob").expect("connect bob");
+    let mut alice = SvcClient::connect_tcp(addr0, "alice").expect("connect alice");
+    let mut bob = SvcClient::connect_tcp(l1.tcp_addr().unwrap(), "bob").expect("connect bob");
     alice.join("room").unwrap();
     bob.join("room").unwrap();
     let (mut na, mut nb) = (0, 0);
     assert!(
         wait_for(
             || {
-                for ev in alice.drain() {
-                    if let ClientEvent::Membership { members, .. } = ev {
-                        na = members.len();
-                    }
-                }
-                for ev in bob.drain() {
-                    if let ClientEvent::Membership { members, .. } = ev {
-                        nb = members.len();
-                    }
-                }
+                na = latest_members(&mut alice).unwrap_or(na);
+                nb = latest_members(&mut bob).unwrap_or(nb);
                 na == 2 && nb == 2
             },
             20
@@ -91,9 +98,14 @@ fn restart_roundtrip(durable: bool) {
         "initial 2-member group"
     );
 
-    // Kill alice's daemon: the listener drop frees the port, the
-    // daemon drains and exits, and the surviving daemon reconfigures.
-    drop(l0);
+    // Kill alice's daemon. An in-process daemon cannot be SIGKILLed,
+    // so the crash is modelled as its clients see one: the link dies
+    // with no Goodbye and no Evicted notice (`sever`), then the
+    // listener and the daemon go away and the surviving daemon
+    // reconfigures. (`session_resume_e2e` and `durable_restart_e2e`
+    // SIGKILL real `ard` processes.)
+    alice.sever();
+    l0.shutdown().expect("clean shutdown");
     d0.shutdown().expect("clean shutdown");
     net.detach(members[0]);
 
@@ -103,11 +115,7 @@ fn restart_roundtrip(durable: bool) {
     assert!(
         wait_for(
             || {
-                for ev in bob.drain() {
-                    if let ClientEvent::Membership { members, .. } = ev {
-                        n = members.len();
-                    }
-                }
+                n = latest_members(&mut bob).unwrap_or(n);
                 n == 1
             },
             20
@@ -120,28 +128,32 @@ fn restart_roundtrip(durable: bool) {
     // flows.
     let part = Participant::new_singleton(members[0], ProtocolConfig::accelerated()).unwrap();
     let d0b = spawn_daemon_with(part, net.endpoint(members[0]), d0_config());
-    let l0b = d0b.listen(addr0).expect("re-listen on the same port");
-    assert_eq!(l0b.local_addr(), addr0);
+    let l0b = serve_clients(&d0b, listen_on(addr0), SvcConfig::default())
+        .expect("re-listen on the same port");
+    assert_eq!(l0b.tcp_addr(), Some(addr0));
 
-    // Alice's next operation reconnects transparently and re-joins
-    // "room"; the join travels the merged ring, so eventually both
-    // sides see a 2-member group again.
+    // Alice's next operation notices the dead link, redials, is told
+    // the session is gone, and re-joins "room" in a fresh one; the
+    // join travels the merged ring, so eventually both sides see a
+    // 2-member group again.
     let mut n = 0;
+    let mut fresh_session = false;
     assert!(
         wait_for(
             || {
-                // Reconnect happens lazily on an operation; poke until
-                // the socket is re-established and the ring re-merges.
-                let _ = alice.multicast(
+                // Poke until the socket is re-established and the ring
+                // re-merges (the first poke fails with the reset).
+                let _ = alice.try_publish(
                     &["room"],
                     ServiceType::Agreed,
                     Bytes::from_static(b"are-you-there"),
                 );
-                for ev in bob.drain() {
-                    if let ClientEvent::Membership { members, .. } = ev {
-                        n = members.len();
+                for ev in alice.drain() {
+                    if ev == (SvcEvent::Reconnected { resumed: false }) {
+                        fresh_session = true;
                     }
                 }
+                n = latest_members(&mut bob).unwrap_or(n);
                 n == 2
             },
             30
@@ -149,16 +161,23 @@ fn restart_roundtrip(durable: bool) {
         "group re-forms after daemon restart"
     );
     assert!(alice.reconnects() >= 1, "client redialled");
+    assert!(fresh_session, "restarted daemon cannot resume the session");
+    assert!(alice.evicted_reason().is_none(), "client survived");
 
     // Traffic flows end-to-end in both directions again.
-    bob.multicast(&["room"], ServiceType::Agreed, Bytes::from_static(b"wb"))
-        .unwrap();
+    bob.publish(
+        &["room"],
+        ServiceType::Agreed,
+        Bytes::from_static(b"wb"),
+        Duration::from_secs(20),
+    )
+    .unwrap();
     let mut got = false;
     assert!(
         wait_for(
             || {
                 for ev in alice.drain() {
-                    if let ClientEvent::Message {
+                    if let SvcEvent::Deliver {
                         payload, sender, ..
                     } = ev
                     {
@@ -177,8 +196,8 @@ fn restart_roundtrip(durable: bool) {
 
     drop(alice);
     drop(bob);
-    drop(l0b);
-    drop(l1);
+    l0b.shutdown().expect("clean shutdown");
+    l1.shutdown().expect("clean shutdown");
     d0b.shutdown().expect("clean shutdown");
     d1.shutdown().expect("clean shutdown");
 
