@@ -54,9 +54,9 @@ pub enum ClientEvent {
         daemons: Vec<ar_core::ParticipantId>,
     },
     /// One of this client's own multicasts reached Agreed order (it
-    /// was applied at its daemon). Sent only to sessions that opted in
-    /// (`wants_send_acks`, used by the `ar-svc` service tier to
-    /// replenish publish credits); a client's own messages are ordered
+    /// was applied at its daemon). Sent only to service-tier sessions
+    /// (`connect_service`: the `ar-svc` tier replenishes publish
+    /// credits from it); a client's own messages are ordered
     /// in submission order, so a FIFO count correlates acks to sends.
     Ordered {
         /// The ring sequence number the message was ordered at.

@@ -21,7 +21,7 @@ use ar_telemetry::Counter;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-use ar_net::{AppEvent, Runtime, Transport};
+use ar_net::{AppEvent, Runtime, Transport, Waker};
 
 use crate::client::{ClientError, ClientEvent, DaemonClient};
 use crate::group::GroupTable;
@@ -35,11 +35,12 @@ pub(crate) enum Command {
     Register {
         name: String,
         events: Sender<ClientEvent>,
-        /// When set, the session also receives a
+        /// Set for a service-tier session: it also receives a
         /// [`ClientEvent::Ordered`] each time one of its own
         /// multicasts is applied (the `ar-svc` tier's publish-credit
-        /// replenishment signal).
-        wants_send_acks: bool,
+        /// replenishment signal), and the tier's polling thread is
+        /// woken after every dispatch batch that queued it an event.
+        waker: Option<Waker>,
         /// Shared counter of events dropped because the session's
         /// bounded queue was full.
         drops: Arc<AtomicU64>,
@@ -266,15 +267,17 @@ impl DaemonHandle {
         name: &str,
         capacity: usize,
     ) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, capacity, false)
+        self.connector().connect_inner(name, capacity, None)
     }
 
     /// Connects a service-tier session: like
     /// [`connect_with_capacity`](Self::connect_with_capacity), but the
     /// session additionally receives a [`ClientEvent::Ordered`] each
-    /// time one of its own multicasts is applied. The `ar-svc` tier
-    /// uses this to replenish per-client publish credits at Agreed
-    /// time.
+    /// time one of its own multicasts is applied (the `ar-svc` tier
+    /// replenishes per-client publish credits at Agreed time), and
+    /// the daemon loop calls `waker` once after every dispatch batch
+    /// that queued the session an event, so the tier's polling thread
+    /// drains it without waiting for its next tick.
     ///
     /// # Errors
     ///
@@ -283,18 +286,9 @@ impl DaemonHandle {
         &self,
         name: &str,
         capacity: usize,
+        waker: Waker,
     ) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, capacity, true)
-    }
-
-    fn connect_inner(
-        &self,
-        name: &str,
-        capacity: usize,
-        wants_send_acks: bool,
-    ) -> Result<DaemonClient, ClientError> {
-        self.connector()
-            .connect_inner(name, capacity, wants_send_acks)
+        self.connector().connect_service(name, capacity, waker)
     }
 
     /// Stops the daemon and returns its loop result.
@@ -344,7 +338,7 @@ impl DaemonConnector {
     ///
     /// As for [`DaemonHandle::connect`].
     pub fn connect(&self, name: &str) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, crate::client::DEFAULT_EVENT_CAPACITY, false)
+        self.connect_inner(name, crate::client::DEFAULT_EVENT_CAPACITY, None)
     }
 
     /// As [`DaemonHandle::connect_with_capacity`].
@@ -357,7 +351,7 @@ impl DaemonConnector {
         name: &str,
         capacity: usize,
     ) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, capacity, false)
+        self.connect_inner(name, capacity, None)
     }
 
     /// As [`DaemonHandle::connect_service`].
@@ -369,15 +363,16 @@ impl DaemonConnector {
         &self,
         name: &str,
         capacity: usize,
+        waker: Waker,
     ) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, capacity, true)
+        self.connect_inner(name, capacity, Some(waker))
     }
 
     fn connect_inner(
         &self,
         name: &str,
         capacity: usize,
-        wants_send_acks: bool,
+        waker: Option<Waker>,
     ) -> Result<DaemonClient, ClientError> {
         if name.is_empty() || name.len() > MAX_NAME {
             return Err(ClientError::InvalidName);
@@ -389,7 +384,7 @@ impl DaemonConnector {
             .send(Command::Register {
                 name: name.to_string(),
                 events: events_tx,
-                wants_send_acks,
+                waker,
                 drops: Arc::clone(&drops),
                 ack: ack_tx,
             })
@@ -409,9 +404,11 @@ impl DaemonConnector {
 /// A registered client session, as the daemon loop sees it.
 struct Session {
     tx: Sender<ClientEvent>,
-    /// Receive [`ClientEvent::Ordered`] for own applied multicasts
-    /// (the service tier's credit-replenishment signal).
-    wants_send_acks: bool,
+    /// Set for a service-tier session: it receives
+    /// [`ClientEvent::Ordered`] for its own applied multicasts (the
+    /// tier's credit-replenishment signal) and its tier is woken after
+    /// a batch that queued it an event.
+    waker: Option<Waker>,
     /// Events dropped because the bounded queue was full (shared with
     /// the client handle / service tier).
     drops: Arc<AtomicU64>,
@@ -419,11 +416,19 @@ struct Session {
 
 impl Session {
     /// Non-blocking event delivery: a stalled client loses events (and
-    /// they are counted) rather than stalling the protocol loop.
-    fn push(&self, ev: ClientEvent, overflow: &Counter) {
+    /// they are counted) rather than stalling the protocol loop. A
+    /// service-tier session's waker joins `to_wake` (once per target)
+    /// for the end of the batch.
+    fn push(&self, ev: ClientEvent, overflow: &Counter, to_wake: &mut Vec<Waker>) {
         if self.tx.try_send(ev).is_err() {
             self.drops.fetch_add(1, Ordering::Relaxed);
             overflow.add(1);
+            return;
+        }
+        if let Some(w) = &self.waker {
+            if !to_wake.iter().any(|queued| queued.same_target(w)) {
+                to_wake.push(w.clone());
+            }
         }
     }
 }
@@ -459,8 +464,12 @@ struct DaemonLoop<T: Transport> {
     log_tail_dropped: Counter,
     /// Client events dropped across all sessions (bounded queues full).
     event_overflow: Counter,
-    /// Shared backpressure gauge, refreshed every loop iteration.
+    /// Shared backpressure gauge, refreshed at the end of every
+    /// dispatch batch (so every loop iteration).
     pressure: Arc<RingPressure>,
+    /// Service tiers that were queued an event by the dispatch batch
+    /// in progress; woken, and emptied, when the batch ends.
+    to_wake: Vec<Waker>,
     /// Shard index for telemetry labelling (0 when unsharded).
     shard: usize,
 }
@@ -543,6 +552,7 @@ impl<T: Transport> DaemonLoop<T> {
             log_tail_dropped,
             event_overflow,
             pressure,
+            to_wake: Vec::new(),
             shard: config.shard.unwrap_or(0),
         })
     }
@@ -577,8 +587,6 @@ impl<T: Transport> DaemonLoop<T> {
             self.flush_outbox();
             let events = self.rt.step()?;
             self.dispatch(events);
-            self.pressure
-                .set_send_queue_depth(self.rt.participant().pending_len() + self.outbox.len());
             if let Some(hub) = &self.telemetry {
                 hub.update_shard_stats(self.shard, *self.rt.participant().stats());
             }
@@ -678,7 +686,7 @@ impl<T: Transport> DaemonLoop<T> {
             Command::Register {
                 name,
                 events,
-                wants_send_acks,
+                waker,
                 drops,
                 ack,
             } => {
@@ -689,7 +697,7 @@ impl<T: Transport> DaemonLoop<T> {
                     std::collections::hash_map::Entry::Vacant(e) => {
                         e.insert(Session {
                             tx: events,
-                            wants_send_acks,
+                            waker,
                             drops,
                         });
                         Ok(())
@@ -792,11 +800,19 @@ impl<T: Transport> DaemonLoop<T> {
                             daemons: c.members.clone(),
                         };
                         for s in self.sessions.values() {
-                            s.push(note.clone(), &self.event_overflow);
+                            s.push(note.clone(), &self.event_overflow, &mut self.to_wake);
                         }
                     }
                 }
             }
+        }
+        // The gauge first, so the pass a wake starts does not decide
+        // credit grants on the depth from before the batch; then one
+        // wake per tier, however many events the batch queued it.
+        self.pressure
+            .set_send_queue_depth(self.rt.participant().pending_len() + self.outbox.len());
+        for waker in self.to_wake.drain(..) {
+            waker.wake();
         }
     }
 
@@ -829,6 +845,7 @@ impl<T: Transport> DaemonLoop<T> {
                                 payload: payload.clone(),
                             },
                             &self.event_overflow,
+                            &mut self.to_wake,
                         );
                     }
                 }
@@ -840,10 +857,11 @@ impl<T: Transport> DaemonLoop<T> {
                 // order within one shard).
                 if sender.daemon == self.pid {
                     if let Some(s) = self.sessions.get(&sender.client) {
-                        if s.wants_send_acks {
+                        if s.waker.is_some() {
                             s.push(
                                 ClientEvent::Ordered { ring_seq, stamp },
                                 &self.event_overflow,
+                                &mut self.to_wake,
                             );
                         }
                     }
@@ -869,6 +887,7 @@ impl<T: Transport> DaemonLoop<T> {
                                     members: self.groups.members(&group),
                                 },
                                 &self.event_overflow,
+                                &mut self.to_wake,
                             );
                         }
                     }
@@ -908,6 +927,7 @@ impl<T: Transport> DaemonLoop<T> {
                         members: members.clone(),
                     },
                     &self.event_overflow,
+                    &mut self.to_wake,
                 );
             }
         }

@@ -9,6 +9,10 @@
 //! layer, from the publisher stamps the daemons carry through their
 //! rings.
 //!
+//! A service tier registers each session on every shard with the same
+//! [`ar_net::Waker`] ([`DaemonConnector::connect_service`]), so all N
+//! ring threads wake its one polling thread.
+//!
 //! All shards share one [`TelemetryHub`](crate::TelemetryHub) when the
 //! caller passes the same hub in each shard's config: the spawn hook
 //! fills in [`DaemonConfig::shard`], so each ring's series are

@@ -58,7 +58,7 @@ pub use loopback::{LoopbackNet, LoopbackTransport};
 pub use metrics::NetMetrics;
 pub use nemesis::{NemesisOutcome, NemesisPlan, NemesisRunner};
 pub use node::{spawn, NodeHandle};
-pub use poll::PollSet;
+pub use poll::{wake_pair, PollSet, WakeReceiver, Waker};
 pub use replay::{
     replay_schedule, Expectation, ReplayOutcome, Schedule, ScheduleError, Step, Submission, World,
 };

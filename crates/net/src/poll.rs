@@ -11,9 +11,17 @@
 //! degrades to a bounded sleep that reports every descriptor as
 //! possibly-readable; callers use non-blocking reads anyway, so the
 //! fallback costs spurious wakeups, not correctness.
+//!
+//! Work that arrives on a channel rather than a descriptor reaches a
+//! polling thread through a [`wake_pair`]: the producer's [`Waker`]
+//! makes the consumer's [`WakeReceiver`] descriptor readable.
 
 use std::io;
-use std::time::Duration;
+#[cfg(unix)]
+use std::os::unix::net::UnixDatagram;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A reusable set of descriptors polled for readability.
 ///
@@ -135,6 +143,136 @@ impl PollSet {
     }
 }
 
+/// State shared by the two halves of a [`wake_pair`].
+#[derive(Debug)]
+struct WakeShared {
+    /// True from the wake that sent a datagram until the consumer's
+    /// next [`WakeReceiver::drain`]; wakes in between cost one swap.
+    armed: AtomicBool,
+    /// Datagrams carry their send time as nanoseconds since this.
+    epoch: Instant,
+    #[cfg(unix)]
+    tx: UnixDatagram,
+}
+
+/// The producer half of a [`wake_pair`]: cloneable, shared by every
+/// thread that hands work to the polling thread.
+#[derive(Debug, Clone)]
+pub struct Waker {
+    shared: Arc<WakeShared>,
+}
+
+/// The consumer half of a [`wake_pair`], owned by the polling thread.
+#[derive(Debug)]
+pub struct WakeReceiver {
+    shared: Arc<WakeShared>,
+    #[cfg(unix)]
+    rx: UnixDatagram,
+}
+
+/// Creates a connected wake pair over a non-blocking Unix datagram
+/// socket pair. The consumer registers [`WakeReceiver::fd`] in its
+/// [`PollSet`] and calls [`WakeReceiver::drain`] after every `wait`,
+/// *before* it looks at the queues the producers fill; a producer
+/// queues its work and then calls [`Waker::wake`]. Whatever the
+/// interleaving, work queued before a `wake` is seen by the pass that
+/// follows the matching `drain`, or `wait` returns at once for another
+/// pass.
+///
+/// On non-Unix targets the pair holds no socket and `wake` does
+/// nothing: the portable [`PollSet::wait`] already sleeps a bounded
+/// time and reports everything readable.
+///
+/// # Errors
+///
+/// Propagates the socket-pair creation error.
+pub fn wake_pair() -> io::Result<(Waker, WakeReceiver)> {
+    #[cfg(unix)]
+    let (tx, rx) = UnixDatagram::pair()?;
+    #[cfg(unix)]
+    {
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+    }
+    let shared = Arc::new(WakeShared {
+        armed: AtomicBool::new(false),
+        epoch: Instant::now(),
+        #[cfg(unix)]
+        tx,
+    });
+    let waker = Waker {
+        shared: Arc::clone(&shared),
+    };
+    Ok((
+        waker,
+        WakeReceiver {
+            shared,
+            #[cfg(unix)]
+            rx,
+        },
+    ))
+}
+
+impl Waker {
+    /// Makes the receiver's descriptor readable unless a wake is
+    /// already outstanding (then this is one atomic swap, no syscall).
+    /// A dropped receiver makes it a silent no-op.
+    pub fn wake(&self) {
+        // SeqCst pairs with the store in `WakeReceiver::drain`: the
+        // work queued before this swap is visible to the consumer
+        // that observes (or resets) the flag.
+        if !self.shared.armed.swap(true, Ordering::SeqCst) {
+            #[cfg(unix)]
+            {
+                let stamp = self.shared.epoch.elapsed().as_nanos() as u64;
+                // A failed send (receiver gone, buffer full) leaves the
+                // flag set; the consumer's next drain clears it.
+                let _ = self.shared.tx.send(&stamp.to_le_bytes());
+            }
+        }
+    }
+
+    /// True when both wakers signal the same receiver.
+    pub fn same_target(&self, other: &Waker) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared)
+    }
+}
+
+impl WakeReceiver {
+    /// The descriptor to register for readability (`-1` on non-Unix
+    /// targets, where [`PollSet`] ignores descriptors).
+    pub fn fd(&self) -> i32 {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            self.rx.as_raw_fd()
+        }
+        #[cfg(not(unix))]
+        {
+            -1
+        }
+    }
+
+    /// Empties the socket and re-enables the wakers. Returns how long
+    /// the oldest wake read had been waiting, `None` when there was
+    /// none (the pass was caused by something else).
+    pub fn drain(&self) -> Option<Duration> {
+        let mut waited = None;
+        #[cfg(unix)]
+        {
+            let mut stamp = [0u8; 8];
+            while let Ok(n) = self.rx.recv(&mut stamp) {
+                if n == stamp.len() && waited.is_none() {
+                    let sent = Duration::from_nanos(u64::from_le_bytes(stamp));
+                    waited = Some(self.shared.epoch.elapsed().saturating_sub(sent));
+                }
+            }
+        }
+        self.shared.armed.store(false, Ordering::SeqCst);
+        waited
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,5 +311,51 @@ mod tests {
 
         set.clear();
         assert!(set.is_empty());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn wake_before_wait_returns_at_once_and_one_drain_rearms() {
+        let (waker, rx) = wake_pair().unwrap();
+        let mut set = PollSet::new();
+        let slot = set.register(rx.fd());
+
+        // Nothing sent: the wait times out.
+        assert!(!set.wait(Duration::from_millis(20)).unwrap());
+        assert_eq!(rx.drain(), None);
+
+        // N wakes while armed put one datagram in the socket.
+        let other = waker.clone();
+        assert!(waker.same_target(&other));
+        for _ in 0..5 {
+            waker.wake();
+            other.wake();
+        }
+        let start = Instant::now();
+        assert!(set.wait(Duration::from_secs(5)).unwrap());
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "woke, not timed out"
+        );
+        assert!(set.is_readable(slot));
+        let waited = rx.drain().expect("a wake was pending");
+        assert!(waited < Duration::from_secs(5));
+        assert_eq!(rx.drain(), None, "one drain emptied the socket");
+        assert!(!set.wait(Duration::from_millis(20)).unwrap());
+
+        // Drained means re-armed: the next wake sends again.
+        waker.wake();
+        assert!(set.wait(Duration::from_secs(5)).unwrap());
+        assert!(rx.drain().is_some());
+    }
+
+    #[test]
+    fn wake_without_a_receiver_is_silent() {
+        let (waker, rx) = wake_pair().unwrap();
+        let (unrelated, _rx2) = wake_pair().unwrap();
+        assert!(!waker.same_target(&unrelated));
+        drop(rx);
+        waker.wake();
+        waker.wake();
     }
 }

@@ -6,10 +6,20 @@
 //! and registered with an [`ar_net::PollSet`] — the same ppoll loop
 //! the batched UDP datapath uses, at client-count scale. The loop:
 //!
-//! 1. polls listeners + client sockets for readability (short
-//!    timeout, since daemon events arrive on channels, not fds);
+//! 1. polls listeners, client sockets and one wake descriptor for
+//!    readability. Daemon events arrive on channels, not fds, so every
+//!    session is registered at its daemon with the tier's
+//!    [`ar_net::Waker`]: a ring thread that queued events signals it
+//!    once per dispatch batch and the pass below runs tens of µs after
+//!    the delivery. The 2 ms poll timeout remains as the housekeeping
+//!    tick, for everything no descriptor announces: retrying a partial
+//!    write, releasing deferred credits once ring pressure drops, the
+//!    hold-back release that needs a second pass (floors are
+//!    snapshotted before the drain), the stall watchdog, park expiry
+//!    and the stop flag;
 //! 2. accepts new connections (refusing past `max_clients`);
-//! 3. reads frames, handling Hello/Join/Leave/Publish/Ack/Goodbye;
+//! 3. reads frames from the sockets the poll reported, handling
+//!    Hello/Join/Leave/Publish/Ack/Goodbye;
 //! 4. drains each session's daemon events into window-gated delivery
 //!    queues and credit grants;
 //! 5. flushes write buffers and evicts slow consumers per policy.
@@ -70,8 +80,8 @@ use ar_daemon::{
     ClientEvent, DaemonClient, DaemonConnector, DaemonHandle, MemberId, ShardMap, ShardedDaemon,
     TelemetryHub,
 };
-use ar_net::PollSet;
-use ar_telemetry::{Counter, Gauge};
+use ar_net::{wake_pair, PollSet, WakeReceiver, Waker};
+use ar_telemetry::{Counter, Gauge, Histogram};
 use bytes::Bytes;
 
 use crate::credit::{DedupWindow, EvictReason, FlowConfig, FlowState, Offer};
@@ -168,6 +178,15 @@ pub struct SvcStats {
     /// Publishes dropped as duplicates of an in-flight or granted id
     /// (re-sent across a reconnect).
     pub dedup_hits: Counter,
+    /// Loop passes started by a ring thread's wake.
+    pub passes_wake: Counter,
+    /// Loop passes started by a readable listener or client socket.
+    pub passes_socket: Counter,
+    /// Loop passes started by the poll timeout (the housekeeping tick).
+    pub passes_tick: Counter,
+    /// From a ring thread's wake to the loop pass that drains its
+    /// events, nanoseconds.
+    pub wake_delay_ns: Histogram,
 }
 
 impl SvcStats {
@@ -241,7 +260,22 @@ impl SvcStats {
                 "ar_svc_publish_dedup_total",
                 "Publishes dropped as duplicates of an in-flight or granted id",
             ),
+            passes_wake: Self::passes(hub, "wake"),
+            passes_socket: Self::passes(hub, "socket"),
+            passes_tick: Self::passes(hub, "tick"),
+            wake_delay_ns: hub.registry.histogram(
+                "ar_svc_wake_delay_ns",
+                "From a ring thread's wake to the service-tier pass that drains its events",
+            ),
         }
+    }
+
+    fn passes(hub: &TelemetryHub, cause: &str) -> Counter {
+        hub.registry.counter_labeled(
+            "ar_svc_loop_passes_total",
+            &format!("cause=\"{cause}\""),
+            "Service-tier loop passes, by what ended the poll",
+        )
     }
 }
 
@@ -397,6 +431,7 @@ fn serve_shards(
         None => SvcStats::default(),
     };
     let stop = Arc::new(AtomicBool::new(false));
+    let (waker, wake_rx) = wake_pair()?;
     let mut server = Server {
         pid: connectors[0].pid(),
         map: ShardMap::new(connectors.len()),
@@ -414,6 +449,11 @@ fn serve_shards(
         by_name: HashMap::new(),
         session_seed: session_salt(),
         poll: PollSet::new(),
+        waker,
+        wake_rx,
+        tcp_slot: None,
+        uds_slot: None,
+        chunk: vec![0u8; 64 * 1024].into_boxed_slice(),
     };
     let join = std::thread::spawn(move || server.run());
     Ok(SvcHandle {
@@ -601,6 +641,9 @@ struct Conn {
     wbuf: WriteBuf,
     /// The session this socket carries (`None` while handshaking).
     session: Option<u64>,
+    /// Slot in the last poll (`None` until the first poll after the
+    /// accept: such a socket is read without being asked about).
+    slot: Option<usize>,
     /// Set when the socket must close (after flushing `wbuf` best
     /// effort).
     dead: bool,
@@ -638,6 +681,15 @@ struct Server {
     /// SplitMix64 state for session-id generation.
     session_seed: u64,
     poll: PollSet,
+    /// Handed to every daemon registration; all ring threads signal
+    /// the one `wake_rx`.
+    waker: Waker,
+    wake_rx: WakeReceiver,
+    /// Slots of the TCP and Unix listeners in the last poll.
+    tcp_slot: Option<usize>,
+    uds_slot: Option<usize>,
+    /// Read buffer shared by every connection.
+    chunk: Box<[u8]>,
 }
 
 impl Server {
@@ -670,31 +722,49 @@ impl Server {
         Ok(())
     }
 
-    /// One ppoll over listeners + every client socket. Readability
-    /// results are consumed immediately by the accept/read passes; a
-    /// short timeout keeps daemon-event pumping responsive (those
-    /// arrive on channels the poll cannot watch).
+    /// One ppoll over the wake descriptor, the listeners and every
+    /// client socket; the accept and read passes consume the slots it
+    /// records. A ring thread's wake ends the wait as soon as daemon
+    /// events are queued (they arrive on channels the poll cannot
+    /// watch); the timeout is the housekeeping tick.
     fn poll_sockets(&mut self) -> io::Result<()> {
         self.poll.clear();
+        self.poll.register(self.wake_rx.fd());
         if let Some(l) = &self.tcp {
             use std::os::fd::AsRawFd;
-            self.poll.register(l.as_raw_fd());
+            self.tcp_slot = Some(self.poll.register(l.as_raw_fd()));
         }
         #[cfg(unix)]
         if let Some(l) = &self.uds {
             use std::os::fd::AsRawFd;
-            self.poll.register(l.as_raw_fd());
+            self.uds_slot = Some(self.poll.register(l.as_raw_fd()));
         }
-        for conn in self.conns.values() {
-            self.poll.register(conn.sock.fd());
+        for conn in self.conns.values_mut() {
+            conn.slot = Some(self.poll.register(conn.sock.fd()));
         }
-        self.poll.wait(Duration::from_millis(2))?;
+        let ready = self.poll.wait(Duration::from_millis(2))?;
+        // Disarm before the event queues are drained: a wake that
+        // comes after this starts another pass.
+        match self.wake_rx.drain() {
+            Some(waited) => {
+                self.stats.passes_wake.add(1);
+                self.stats.wake_delay_ns.record(waited.as_nanos() as u64);
+            }
+            None if ready => self.stats.passes_socket.add(1),
+            None => self.stats.passes_tick.add(1),
+        }
         Ok(())
     }
 
+    /// Accepts from the listeners the poll reported.
     fn accept_new(&mut self) {
+        let ready = |slot: Option<usize>| slot.is_some_and(|s| self.poll.is_readable(s));
+        let (tcp_ready, uds_ready) = (ready(self.tcp_slot), ready(self.uds_slot));
+        if !tcp_ready && !uds_ready {
+            return;
+        }
         loop {
-            let sock = if let Some(l) = &self.tcp {
+            let sock = if let Some(l) = self.tcp.as_ref().filter(|_| tcp_ready) {
                 match l.accept() {
                     Ok((s, _)) => {
                         let _ = s.set_nodelay(true);
@@ -708,13 +778,14 @@ impl Server {
             };
             #[cfg(unix)]
             let sock = sock.or_else(|| {
-                self.uds.as_ref().and_then(|l| match l.accept() {
+                let l = self.uds.as_ref().filter(|_| uds_ready)?;
+                match l.accept() {
                     Ok((s, _)) => {
                         let _ = s.set_nonblocking(true);
                         Some(Sock::Uds(s))
                     }
                     Err(_) => None,
-                })
+                }
             });
             let Some(mut sock) = sock else { return };
             if self.conns.len() >= self.config.max_clients {
@@ -736,15 +807,22 @@ impl Server {
                     rbuf: FrameBuf::new(),
                     wbuf: WriteBuf::default(),
                     session: None,
+                    slot: None,
                     dead: false,
                 },
             );
         }
     }
 
+    /// Reads the connections the poll reported (and the ones accepted
+    /// since, which it was not asked about) and handles their frames.
     fn read_all(&mut self) {
-        let mut chunk = [0u8; 64 * 1024];
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
+        let ids: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| c.slot.is_none_or(|slot| self.poll.is_readable(slot)))
+            .map(|(id, _)| *id)
+            .collect();
         for id in ids {
             let mut frames = Vec::new();
             {
@@ -755,12 +833,12 @@ impl Server {
                     continue;
                 }
                 loop {
-                    match conn.sock.read(&mut chunk) {
+                    match conn.sock.read(&mut self.chunk) {
                         Ok(0) => {
                             conn.dead = true; // peer closed
                             break;
                         }
-                        Ok(n) => conn.rbuf.extend(&chunk[..n]),
+                        Ok(n) => conn.rbuf.extend(&self.chunk[..n]),
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                         Err(_) => {
@@ -987,7 +1065,7 @@ impl Server {
         let mut clients = Vec::with_capacity(self.connectors.len());
         let mut refuse = None;
         for connector in &self.connectors {
-            match connector.connect_service(&name, self.config.event_capacity) {
+            match connector.connect_service(&name, self.config.event_capacity, self.waker.clone()) {
                 Ok(client) => clients.push(client),
                 Err(e) => {
                     refuse = Some(e.to_string());
@@ -1208,13 +1286,16 @@ impl Server {
         // shard queues that could hold earlier stamps are drained (see
         // `crate::order` for the invariant). Parked sessions keep
         // their floors — their in-flight publishes still complete.
+        // One ring is already an order and never reads a floor.
+        let single_ring = self.connectors.len() == 1;
         let mut floors: HashMap<String, u64> = HashMap::new();
-        for sess in self.sessions.values() {
-            if !sess.dead {
-                floors.insert(sess.name.clone(), sess.flow.ordered_through());
+        if !single_ring {
+            for sess in self.sessions.values() {
+                if !sess.dead {
+                    floors.insert(sess.name.clone(), sess.flow.ordered_through());
+                }
             }
         }
-        let single_ring = self.connectors.len() == 1;
         let pid = self.pid;
         let max_pending = self.config.flow.max_pending;
         let mut deferred_delta: i64 = 0;
@@ -1258,9 +1339,11 @@ impl Server {
                             // they have a floor that will advance.
                             // Single-ring mode needs no hold-back at
                             // all — one ring is already an order.
-                            let local = body.sender.daemon == pid
+                            let hold = !single_ring
+                                && stamp != 0
+                                && body.sender.daemon == pid
                                 && floors.contains_key(&body.sender.client);
-                            if single_ring || stamp == 0 || !local {
+                            if !hold {
                                 if let Err(reason) = sess.flow.queue_delivery(body) {
                                     evict_reason = Some(reason);
                                     break 'shards;

@@ -5,7 +5,8 @@
 //! seeing one total order per group, a publish-credit stall that
 //! releases as messages reach Agreed order, and a deliberately slow
 //! consumer that is evicted by policy without perturbing healthy
-//! clients.
+//! clients — and that a delivery reaches the tier's loop through the
+//! ring thread's wake, not its 2 ms tick.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -349,4 +350,84 @@ fn slow_consumer_is_evicted_without_perturbing_others() {
         }
     }
     svc.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn deliveries_wake_the_tier_instead_of_waiting_for_its_tick() {
+    const MSGS: u64 = 300;
+    // A ring of two daemons, a tier on each: the publisher's on A, the
+    // subscriber's on B, so B's tier learns of a delivery only from
+    // B's ring thread.
+    let net = LoopbackNet::new();
+    let members: Vec<ParticipantId> = (0..2).map(ParticipantId::new).collect();
+    let ring_id = RingId::new(members[0], 1);
+    let daemons: Vec<DaemonHandle> = members
+        .iter()
+        .map(|&p| {
+            let part = Participant::new(p, ProtocolConfig::accelerated(), ring_id, members.clone())
+                .expect("participant");
+            spawn_daemon(part, net.endpoint(p))
+        })
+        .collect();
+    let svc_a =
+        serve_clients(&daemons[0], tcp_listeners(), SvcConfig::default()).expect("service tier a");
+    let svc_b =
+        serve_clients(&daemons[1], tcp_listeners(), SvcConfig::default()).expect("service tier b");
+
+    let mut sub = SvcClient::connect_tcp(svc_b.tcp_addr().unwrap(), "sub").expect("connect sub");
+    sub.join("g").expect("join");
+    wait_for_members(&mut sub, "g", 1);
+    let mut publisher =
+        SvcClient::connect_tcp(svc_a.tcp_addr().unwrap(), "pub").expect("connect pub");
+
+    // An otherwise idle tier, and a closed loop: publish k + 1 leaves
+    // only after the subscriber has k, and no sooner than 3 ms — more
+    // than a tick — after publish k. However late a loaded box makes
+    // anything, no two deliveries share a dispatch batch at B, so
+    // each one arms the wake afresh and costs B's tier a wake pass.
+    let stats = svc_b.stats();
+    let (wakes_before, delivered_before) = (stats.passes_wake.get(), stats.deliveries.get());
+    for k in 0..MSGS {
+        let next = Instant::now() + Duration::from_millis(3);
+        publisher
+            .publish(
+                &["g"],
+                ServiceType::Agreed,
+                Bytes::from(format!("m{k}")),
+                DEADLINE,
+            )
+            .expect("publish");
+        let deadline = Instant::now() + DEADLINE;
+        loop {
+            assert!(Instant::now() < deadline, "delivery {k} of {MSGS} lost");
+            if let Some(SvcEvent::Deliver { .. }) = sub.recv(Duration::from_millis(100)) {
+                break;
+            }
+        }
+        std::thread::sleep(next.saturating_duration_since(Instant::now()));
+    }
+
+    // Counts and a server-side histogram, not client-side wall-clock.
+    // (A tick that fires between a ring thread's push and its wake
+    // drains the event early; the wake still starts a pass of its
+    // own, so the count holds.) The median is the one clock here: a
+    // wake the poll did not watch would wait for the tick, 1 ms in
+    // the median, where a watched one waits for the scheduler.
+    let delivered = stats.deliveries.get() - delivered_before;
+    let wakes = stats.passes_wake.get() - wakes_before;
+    assert_eq!(delivered, MSGS);
+    assert!(
+        wakes * 10 >= delivered * 9,
+        "{wakes} wake passes for {delivered} deliveries: the tick carried the rest"
+    );
+    let p50 = stats.wake_delay_ns.snapshot().value_at_quantile(0.5);
+    assert!(
+        p50 < 500_000,
+        "median wake-to-pass delay {p50} ns: the wake does not end the poll"
+    );
+
+    drop(sub);
+    drop(publisher);
+    svc_a.shutdown().expect("clean shutdown a");
+    svc_b.shutdown().expect("clean shutdown b");
 }

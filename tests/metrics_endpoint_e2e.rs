@@ -294,6 +294,10 @@ fn service_tier_metrics_are_exported() {
         "ar_svc_resume_rejected_total",
         "ar_svc_retained_bytes",
         "ar_svc_holdback_stalled_total",
+        "ar_svc_loop_passes_total{cause=\"wake\"}",
+        "ar_svc_loop_passes_total{cause=\"socket\"}",
+        "ar_svc_loop_passes_total{cause=\"tick\"}",
+        "ar_svc_wake_delay_ns_count",
     ] {
         assert!(body.contains(series), "missing {series} in:\n{body}");
     }
@@ -315,6 +319,11 @@ fn service_tier_metrics_are_exported() {
         "the severed session resumed, so nothing stays parked"
     );
     assert_eq!(sample("ar_svc_resume_rejected_total"), 0.0);
+    // The deliveries above reached the tier through the ring thread's
+    // wake, each wake timed; the client frames through the sockets.
+    assert!(sample("ar_svc_loop_passes_total{cause=\"wake\"}") >= 1.0);
+    assert!(sample("ar_svc_loop_passes_total{cause=\"socket\"}") >= 1.0);
+    assert!(sample("ar_svc_wake_delay_ns_count") >= 1.0);
 
     // /snapshot: the same series ride in the JSON metrics dump.
     let (head, body) = http_get(addr, "/snapshot");
@@ -328,12 +337,23 @@ fn service_tier_metrics_are_exported() {
         "ar_svc_sessions_parked",
         "ar_svc_resume_rejected_total",
         "ar_svc_retained_bytes",
+        "ar_svc_loop_passes_total{cause=\"wake\"}",
+        "ar_svc_loop_passes_total{cause=\"socket\"}",
+        "ar_svc_loop_passes_total{cause=\"tick\"}",
     ] {
         assert!(
             metrics.get(key).and_then(Value::as_f64).is_some(),
             "missing {key} in snapshot metrics: {body}"
         );
     }
+    assert!(
+        metrics
+            .get("ar_svc_wake_delay_ns")
+            .and_then(|h| h.get("count"))
+            .and_then(Value::as_f64)
+            .is_some_and(|n| n >= 1.0),
+        "wake delay histogram has samples in snapshot metrics: {body}"
+    );
 
     drop(consumer);
     drop(publisher);

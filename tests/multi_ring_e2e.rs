@@ -82,6 +82,24 @@ fn wait_for_members(client: &mut SvcClient, groups: &[&str], n: usize) {
 
 #[test]
 fn per_publisher_fifo_survives_cross_shard_placement() {
+    fifo_audit(None);
+}
+
+/// The same audit with the publishes paced 1 ms apart, so the tier
+/// runs many small passes started by the two ring threads' wakes
+/// rather than a few large ones.
+#[test]
+fn per_publisher_fifo_survives_wake_driven_passes() {
+    let wakes = fifo_audit(Some(Duration::from_millis(1)));
+    // How many passes the ring threads started depends on how the
+    // host batches the publishers; that they started some does not.
+    assert!(wakes > 0, "no wake pass: the audit ran on ticks alone");
+}
+
+/// Three publishers alternate between two rings, `pace` apart (flat
+/// out when `None`); the subscriber's transcript must keep each
+/// publisher's order. Returns the tier's wake-pass count.
+fn fifo_audit(pace: Option<Duration>) -> u64 {
     const PUBLISHERS: usize = 3;
     const PER_PUBLISHER: usize = 40;
 
@@ -118,6 +136,9 @@ fn per_publisher_fifo_survives_cross_shard_placement() {
                             DEADLINE,
                         )
                         .expect("publish");
+                    if let Some(pace) = pace {
+                        std::thread::sleep(pace);
+                    }
                 }
                 // Keep the connection (and its ordering floor) alive
                 // until the subscriber has the full transcript.
@@ -165,6 +186,7 @@ fn per_publisher_fifo_survives_cross_shard_placement() {
     for (name, count) in &next {
         assert_eq!(*count, PER_PUBLISHER, "{name} transcript incomplete");
     }
+    let wakes = svc.stats().passes_wake.get();
 
     for h in pubs {
         drop(h.join().expect("publisher thread"));
@@ -172,6 +194,7 @@ fn per_publisher_fifo_survives_cross_shard_placement() {
     drop(sub);
     drop(svc);
     sharded.shutdown().expect("shutdown");
+    wakes
 }
 
 #[test]
