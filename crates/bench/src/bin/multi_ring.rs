@@ -13,8 +13,8 @@
 //! matching independent token rotations.
 //!
 //! Aggregation across a shard set: throughput and counter columns are
-//! sums, latency percentiles are the worst shard (a publisher's FIFO
-//! hold-back waits for its slowest shard), the mean is
+//! sums, latency percentiles are the worst shard (a publisher
+//! switching shards waits for its slowest one), the mean is
 //! delivery-weighted, and rotation time is the per-ring average.
 //!
 //! Emits `BENCH_multi_ring.json` and exits non-zero unless aggregate

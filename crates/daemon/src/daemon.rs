@@ -825,13 +825,12 @@ impl<T: Transport> DaemonLoop<T> {
                 payload,
             } => {
                 // Recipients' Message events are pushed BEFORE the
-                // sender's Ordered ack. The cross-shard hold-back in
-                // the service tier depends on this order: once it
-                // observes Ordered{stamp}, every local recipient's
-                // queue already holds the matching Message, so a
-                // hold-back floor computed from observed acks can
-                // never release a stamp whose message has not been
-                // enqueued yet.
+                // sender's Ordered ack. The service tier's publish gate
+                // depends on this order: once it observes
+                // Ordered{stamp}, every local recipient's queue already
+                // holds the matching Message, so the publisher's next
+                // publish, which the gate forwards to another shard
+                // only after that, can never reach a queue first.
                 let recipients = self.groups.local_recipients(self.pid, &groups);
                 for r in recipients {
                     if let Some(s) = self.sessions.get(&r.client) {

@@ -69,11 +69,14 @@ impl ShardMap {
     /// Splits a group list into per-shard sublists, preserving order
     /// within each shard; only shards that receive at least one group
     /// appear. A multi-group publish becomes one ordered message per
-    /// returned shard.
-    pub fn partition<'a>(&self, groups: &[&'a str]) -> Vec<(usize, Vec<&'a str>)> {
-        let mut out: Vec<(usize, Vec<&'a str>)> = Vec::new();
-        for &g in groups {
-            let shard = self.shard_of(g);
+    /// returned shard. Owned names are moved, not copied.
+    pub fn partition<S: AsRef<str>>(
+        &self,
+        groups: impl IntoIterator<Item = S>,
+    ) -> Vec<(usize, Vec<S>)> {
+        let mut out: Vec<(usize, Vec<S>)> = Vec::new();
+        for g in groups {
+            let shard = self.shard_of(g.as_ref());
             match out.iter_mut().find(|(s, _)| *s == shard) {
                 Some((_, list)) => list.push(g),
                 None => out.push((shard, vec![g])),
@@ -165,7 +168,7 @@ mod tests {
     fn partition_groups_by_shard_preserves_order() {
         let m = ShardMap::new(3);
         let groups = ["a", "b", "c", "d", "e", "f"];
-        let parts = m.partition(&groups);
+        let parts = m.partition(groups);
         let mut seen = Vec::new();
         for (shard, list) in &parts {
             assert!(!list.is_empty());

@@ -4,10 +4,11 @@
 //! plus the [`ShardMap`] that places each group on a shard. Every
 //! shard is a full daemon: its own protocol participant, datapath
 //! transport, packer, group table, and (when configured) durable-log
-//! directory. Nothing is ordered *across* shards here; per-publisher
-//! FIFO across shards is restored above, in the `ar-svc` hold-back
-//! layer, from the publisher stamps the daemons carry through their
-//! rings.
+//! directory. Nothing is ordered *across* shards here; the `ar-svc`
+//! tier keeps a local publisher's FIFO across shards at ingress, by
+//! submitting a publish to another shard only once the publisher's
+//! earlier ones are ordered (the stamps the daemons carry through
+//! their rings tie each `Ordered` ack to its publish).
 //!
 //! A service tier registers each session on every shard with the same
 //! [`ar_net::Waker`] ([`DaemonConnector::connect_service`]), so all N

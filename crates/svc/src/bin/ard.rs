@@ -13,7 +13,7 @@
 //!            [--no-safe-durable] [--loss P] [--loss-seed N]
 //!            [--client-addr ADDR] [--client-uds PATH]
 //!            [--max-clients N] [--publish-credits N]
-//!            [--resume-grace-ms MS] [--holdback-stall-ms MS]
+//!            [--resume-grace-ms MS]
 //!            <config-file> <daemon-id>
 //!
 //! # terminal 1              # terminal 2
@@ -51,7 +51,7 @@ use ar_svc::{serve_clients_sharded, SvcConfig, SvcListeners};
 const USAGE: &str = "usage: ard [--rings N] [--ring-port-stride P] [--metrics-addr ADDR] \
 [--log-dir DIR] [--fsync POLICY] [--no-safe-durable] [--loss P] [--loss-seed N] \
 [--client-addr ADDR] [--client-uds PATH] [--max-clients N] [--publish-credits N] \
-[--resume-grace-ms MS] [--holdback-stall-ms MS] <config-file> <daemon-id>";
+[--resume-grace-ms MS] <config-file> <daemon-id>";
 
 fn main() -> ExitCode {
     let mut metrics_addr: Option<String> = None;
@@ -65,7 +65,6 @@ fn main() -> ExitCode {
     let mut max_clients: Option<usize> = None;
     let mut publish_credits: Option<u32> = None;
     let mut resume_grace_ms: Option<u64> = None;
-    let mut holdback_stall_ms: Option<u64> = None;
     let mut rings: usize = 1;
     let mut ring_port_stride: u16 = 100;
     let mut positional: Vec<String> = Vec::new();
@@ -126,14 +125,6 @@ fn main() -> ExitCode {
                 Some(ms) => resume_grace_ms = Some(ms),
                 _ => {
                     eprintln!("ard: --resume-grace-ms wants a duration in milliseconds (0 disables session parking)");
-                    return ExitCode::from(2);
-                }
-            }
-        } else if let Some(v) = take(&mut args, &arg, "--holdback-stall-ms") {
-            match v.and_then(|v| v.parse().ok()) {
-                Some(ms) => holdback_stall_ms = Some(ms),
-                _ => {
-                    eprintln!("ard: --holdback-stall-ms wants a duration in milliseconds (0 disables the watchdog)");
                     return ExitCode::from(2);
                 }
             }
@@ -350,9 +341,6 @@ fn main() -> ExitCode {
         }
         if let Some(ms) = resume_grace_ms {
             svc_config.park_grace = std::time::Duration::from_millis(ms);
-        }
-        if let Some(ms) = holdback_stall_ms {
-            svc_config.holdback_stall_timeout = std::time::Duration::from_millis(ms);
         }
         svc_config.telemetry = telemetry;
         match serve_clients_sharded(&sharded, listeners, svc_config) {

@@ -16,6 +16,9 @@
 //!   queue; a consumer that stops acking eventually trips
 //!   [`EvictReason::PendingOverflow`] and is cut loose, so one slow
 //!   consumer cannot pin daemon memory or stall the rest.
+//! * **The publish gate** ([`PublishGate`]) keeps a publisher's
+//!   messages in publish order across ring shards by holding a publish
+//!   at ingress until its predecessors on other shards are ordered.
 
 use std::collections::VecDeque;
 
@@ -54,6 +57,10 @@ pub enum EvictReason {
     /// The socket write buffer outgrew `max_write_buffer` (consumer
     /// stopped reading).
     WriteBufferOverflow,
+    /// The daemon dropped events bound for the session (its bounded
+    /// event queue was full), so its deliveries have a gap and its
+    /// publisher floor may never advance past a lost `Ordered`.
+    EventsLost,
 }
 
 impl EvictReason {
@@ -62,6 +69,7 @@ impl EvictReason {
         match self {
             EvictReason::PendingOverflow => "slow consumer: delivery backlog limit exceeded",
             EvictReason::WriteBufferOverflow => "slow consumer: write buffer limit exceeded",
+            EvictReason::EventsLost => "daemon event queue overflowed: session state lost",
         }
     }
 }
@@ -84,8 +92,8 @@ pub struct Pending<T> {
 struct Inflight {
     /// Client-assigned publish id (echoed in the credit grant).
     id: u64,
-    /// Per-publisher stamp assigned at submission (1-based,
-    /// strictly increasing per connection).
+    /// Per-publisher stamp assigned at submission (strictly
+    /// increasing per session).
     stamp: u64,
     /// Shard copies still awaiting their Ordered ack.
     copies_left: u32,
@@ -100,11 +108,12 @@ pub struct FlowState<T> {
     /// Publishes forwarded to the daemon(s), in submission (= stamp)
     /// order, awaiting their Ordered acks.
     inflight: VecDeque<Inflight>,
-    /// Stamp assigned to the most recent publish (0 = none yet).
+    /// Stamp assigned to the most recent publish (the starting stamp,
+    /// 0 by default, when none yet).
     last_stamp: u64,
     /// Highest stamp `s` such that every publish stamped `<= s` has
     /// been fully agreed on every shard it touched — the publisher
-    /// floor the cross-shard hold-back layer releases against.
+    /// floor the [`PublishGate`] releases against.
     ordered_through: u64,
     /// Credits owed but withheld because the ring was backpressured
     /// when the ack arrived; flushed when pressure clears.
@@ -134,6 +143,21 @@ impl<T> FlowState<T> {
             acked: 0,
             pending: VecDeque::new(),
         }
+    }
+
+    /// Fresh state whose first publish is stamped `after + 1`, with
+    /// everything at or below `after` counted as ordered.
+    pub fn stamping_after(cfg: FlowConfig, after: u64) -> FlowState<T> {
+        FlowState {
+            last_stamp: after,
+            ordered_through: after,
+            ..FlowState::new(cfg)
+        }
+    }
+
+    /// Stamp of the most recent publish (the starting stamp when none).
+    pub fn last_stamp(&self) -> u64 {
+        self.last_stamp
     }
 
     /// Remaining publish credits.
@@ -274,6 +298,125 @@ impl<T> FlowState<T> {
             return Err(EvictReason::WriteBufferOverflow);
         }
         Ok(())
+    }
+}
+
+/// Ingress ordering for one session on a sharded daemon: which stamped
+/// publishes may go to the rings now, and which wait.
+///
+/// Each ring orders only its own groups, so publish k on ring A and
+/// publish k+1 on ring B have no relative order — unless k+1 reaches
+/// no ring before k is ordered. The gate makes that so:
+///
+/// * a publish is forwarded at once when every earlier publish of the
+///   session is *settled*, or when every unsettled one went to exactly
+///   the same single shard (a ring keeps one publisher's submission
+///   order, so same-shard runs pipeline);
+/// * otherwise it waits here, behind every earlier gated publish, and
+///   [`on_sweep`](Self::on_sweep) releases it.
+///
+/// Per-publisher FIFO across rings then holds at every local
+/// subscriber without holding any delivery back. The daemon pushes
+/// every local recipient's `Message` before the sender's `Ordered`, so
+/// once the tier has seen `Ordered` for publish k, k's message is in
+/// each local subscriber's shard queue. The tier's one thread then
+/// drains every session once (a *sweep*) before it forwards k+1, so
+/// k's message is out of every queue before k+1 can reach any. That
+/// drain is what *settled* adds to *ordered*: a session's shard queues
+/// are read one after another, so k+1 forwarded the moment `Ordered`
+/// arrived could land in a queue read before the one still holding k.
+/// Hence `on_sweep`, called after each sweep, releases against the
+/// floor reported at the end of the *previous* one.
+///
+/// Everything held here already consumed a publish credit and a stamp,
+/// so a gate never holds more than `publish_credits` publishes, and it
+/// needs no timer: the `Ordered` event that advances the floor wakes
+/// the tier.
+#[derive(Debug)]
+pub struct PublishGate<T> {
+    /// Gated publishes in stamp order, with their one shard (`None`
+    /// when they touch several).
+    waiting: VecDeque<(u64, Option<usize>, T)>,
+    /// Stamp of the newest forwarded publish.
+    forwarded: u64,
+    /// The one shard every forwarded, unsettled publish went to;
+    /// `None` after a multi-shard publish.
+    lane: Option<usize>,
+    /// The floor reported at the end of the last sweep.
+    seen: u64,
+    /// Every publish stamped at or below this is settled.
+    settled: u64,
+}
+
+impl<T> Default for PublishGate<T> {
+    fn default() -> Self {
+        PublishGate {
+            waiting: VecDeque::new(),
+            forwarded: 0,
+            lane: None,
+            seen: 0,
+            settled: 0,
+        }
+    }
+}
+
+impl<T> PublishGate<T> {
+    /// An open gate: nothing forwarded yet.
+    pub fn new() -> PublishGate<T> {
+        PublishGate::default()
+    }
+
+    /// Offers the publish stamped `stamp` (stamps increase per session)
+    /// bound for the one shard `lane`, or for several when `None`.
+    /// Returns it when it may be forwarded now; otherwise keeps it for
+    /// [`on_sweep`](Self::on_sweep).
+    pub fn admit(&mut self, stamp: u64, lane: Option<usize>, item: T) -> Option<T> {
+        if self.waiting.is_empty() && self.open_to(lane) {
+            self.forwarded = stamp;
+            self.lane = lane;
+            return Some(item);
+        }
+        self.waiting.push_back((stamp, lane, item));
+        None
+    }
+
+    /// A sweep drained every session; the publisher's floor
+    /// ([`FlowState::ordered_through`]) is now `ordered_through`.
+    /// Returns the gated publishes to forward, in stamp order.
+    pub fn on_sweep(&mut self, ordered_through: u64) -> Vec<T> {
+        self.settled = self.seen;
+        self.seen = ordered_through;
+        let mut out = Vec::new();
+        while let Some(&(stamp, lane, _)) = self.waiting.front() {
+            if !self.open_to(lane) {
+                break;
+            }
+            self.forwarded = stamp;
+            self.lane = lane;
+            out.push(self.waiting.pop_front().expect("front checked").2);
+        }
+        out
+    }
+
+    /// True when the next sweep will release a publish: the floor
+    /// covers everything forwarded, and only the settling sweep is
+    /// missing.
+    pub fn ripe(&self) -> bool {
+        !self.waiting.is_empty() && self.seen >= self.forwarded
+    }
+
+    /// Publishes waiting at the gate.
+    pub fn len(&self) -> usize {
+        self.waiting.len()
+    }
+
+    /// True when no publish waits.
+    pub fn is_empty(&self) -> bool {
+        self.waiting.is_empty()
+    }
+
+    fn open_to(&self, lane: Option<usize>) -> bool {
+        self.settled >= self.forwarded || (lane.is_some() && lane == self.lane)
     }
 }
 
@@ -499,6 +642,69 @@ mod tests {
             fs.check_write_buffer(101).unwrap_err(),
             EvictReason::WriteBufferOverflow
         );
+    }
+
+    #[test]
+    fn gate_pipelines_same_shard_publishes() {
+        let mut gate = PublishGate::new();
+        for stamp in 1..=5 {
+            assert_eq!(
+                gate.admit(stamp, Some(1), stamp),
+                Some(stamp),
+                "nothing ordered yet"
+            );
+        }
+        assert!(gate.is_empty());
+    }
+
+    #[test]
+    fn gate_holds_a_shard_switch_until_earlier_stamps_settle() {
+        let mut gate = PublishGate::new();
+        assert_eq!(gate.admit(1, Some(0), "a1"), Some("a1"));
+        assert_eq!(gate.admit(2, Some(1), "b2"), None, "shard switch");
+        assert_eq!(gate.admit(3, Some(1), "b3"), None, "queues behind b2");
+        assert!(gate.on_sweep(0).is_empty());
+        // The floor covers stamp 1, but a local subscriber may not
+        // have drained a1 yet: one more sweep settles it.
+        assert!(gate.on_sweep(1).is_empty());
+        assert!(gate.ripe());
+        assert_eq!(
+            gate.on_sweep(1),
+            vec!["b2", "b3"],
+            "same-shard run pipelines"
+        );
+        assert!(!gate.ripe());
+        // Back to shard 0: waits for both b's.
+        assert_eq!(gate.admit(4, Some(0), "a4"), None);
+        assert!(gate.on_sweep(2).is_empty());
+        assert!(gate.on_sweep(3).is_empty(), "stamp 3 not settled");
+        assert_eq!(gate.on_sweep(3), vec!["a4"]);
+    }
+
+    #[test]
+    fn gate_holds_multi_shard_publishes_and_what_follows() {
+        let mut gate = PublishGate::new();
+        assert_eq!(gate.admit(1, None, "ab1"), Some("ab1"), "nothing earlier");
+        assert_eq!(gate.admit(2, Some(0), "a2"), None, "behind every ab1 copy");
+        gate.on_sweep(1);
+        assert_eq!(gate.on_sweep(1), vec!["a2"]);
+        assert_eq!(gate.admit(3, None, "ab3"), None, "a2 unsettled");
+        assert_eq!(gate.admit(4, Some(0), "a4"), None);
+        gate.on_sweep(2);
+        assert_eq!(gate.on_sweep(2), vec!["ab3"], "a4 waits for ab3's copies");
+        gate.on_sweep(3);
+        assert_eq!(gate.on_sweep(3), vec!["a4"]);
+        assert!(gate.is_empty());
+    }
+
+    #[test]
+    fn stamps_and_the_floor_start_above_the_base() {
+        let mut fs: FlowState<()> = FlowState::stamping_after(FlowConfig::default(), 40);
+        assert_eq!((fs.last_stamp(), fs.ordered_through()), (40, 40));
+        assert_eq!(fs.try_consume_credit(7, 1), Some(41));
+        assert_eq!(fs.ordered_through(), 40, "41 in flight");
+        assert_eq!(fs.on_ordered(41, false), vec![7]);
+        assert_eq!((fs.last_stamp(), fs.ordered_through()), (41, 41));
     }
 
     #[test]

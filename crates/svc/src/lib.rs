@@ -15,11 +15,13 @@
 //!   the ring send queue is backpressured), and delivery windows so a
 //!   slow consumer buffers boundedly and is evicted by policy rather
 //!   than stalling the daemon or its neighbours;
-//! * cross-shard per-publisher ordering ([`order`]) for sharded
-//!   multi-ring daemons: publishes carry a per-publisher stamp and a
-//!   subscriber's stamped deliveries are held back until the
-//!   publisher's earlier publishes are agreed on every shard, so
-//!   per-publisher FIFO survives group placement across rings;
+//! * cross-shard per-publisher ordering for sharded multi-ring
+//!   daemons: a publish bound for another shard waits at ingress until
+//!   the publisher's earlier publishes are ordered
+//!   ([`credit::PublishGate`]), so every member of a group sees its
+//!   ring's one order and per-publisher FIFO survives group placement
+//!   across rings ([`order`] is the retired hold-back queue, kept for
+//!   the benchmark's driver);
 //! * a client library ([`client`]) used by `arclient`, the tests, and
 //!   `ar-bench loadgen` — with automatic reconnect-and-resume: the
 //!   server parks a disconnected session for a grace period and the
@@ -39,7 +41,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::{PublishError, ResumePolicy, SvcClient, SvcEvent};
-pub use credit::{DedupWindow, EvictReason, FlowConfig, FlowState, Offer};
+pub use credit::{DedupWindow, EvictReason, FlowConfig, FlowState, Offer, PublishGate};
 pub use order::HoldBack;
 pub use server::{
     serve_clients, serve_clients_sharded, SvcConfig, SvcHandle, SvcListeners, SvcStats,

@@ -1,55 +1,20 @@
-//! Cross-shard per-publisher ordering: the hold-back queue.
+//! The retired cross-shard hold-back queue, kept only because the
+//! `e2ebench` driver `svc.order.holdback_ns` times it. The service tier
+//! no longer uses it: per-publisher order across ring shards is kept
+//! at ingress by [`crate::credit::PublishGate`]. Delete this module
+//! once the benchmark stops importing it.
 //!
-//! A sharded daemon orders each group's traffic on its own ring, so
-//! two messages from one publisher that land on different shards have
-//! no relative order on the wire — shard B can deliver the later one
-//! first. This module restores *per-publisher FIFO* for subscribers
-//! served by the same service tier as the publisher:
-//!
-//! * every publish carries a per-publisher stamp (1-based, assigned by
-//!   [`crate::credit::FlowState`]);
-//! * the publisher's flow state tracks `ordered_through` — the highest
-//!   stamp `s` such that every publish `<= s` is fully agreed on every
-//!   shard it touched (the **floor**);
-//! * a subscriber's stamped deliveries are held here until the
-//!   publisher's floor reaches their stamp, then released in ascending
-//!   stamp order.
-//!
-//! Correctness leans on two invariants. First, the daemon pushes every
-//! recipient's `Message` event *before* the sender's `Ordered` ack for
-//! the same envelope, so by the time a floor computed from observed
-//! acks says `s`, every local recipient queue already holds the
-//! matching messages. Second, the server drains *all* of a
-//! connection's shard queues before releasing against a floor snapshot
-//! taken at the start of the pass ([`HoldBack::insert`] everything,
-//! then [`HoldBack::release`]) — releasing mid-drain could let shard
-//! B's stamp 5 out while stamp 4 still sits undrained in shard A's
-//! queue.
-//!
-//! Stamps a subscriber sees are a *subsequence* of the publisher's
-//! (it only receives groups it joined), so release is gated on
-//! `stamp <= floor`, never on contiguity. A publish spanning several
-//! shards reaches a subscriber once per shard whose groups it joined;
-//! duplicates are collapsed (first copy wins), mirroring the
-//! single-ring multi-group delivery semantics.
+//! A subscriber's stamped deliveries from one publisher are held until
+//! that publisher's floor (the highest stamp through which every
+//! publish is ordered) reaches their stamp, then released in ascending
+//! stamp order. Stamps at or below the released floor are duplicates.
 
 use std::collections::{BTreeMap, HashMap};
-use std::time::{Duration, Instant};
 
 /// Per-publisher hold-back state for one subscriber connection.
-///
-/// Generic over the held item so the release logic is testable without
-/// dragging in socket frames.
 #[derive(Debug, Default)]
 pub struct HoldBack<T> {
     queues: HashMap<String, PubQueue<T>>,
-}
-
-#[derive(Debug)]
-struct Held<T> {
-    item: T,
-    /// When the entry was inserted — drives the stall watchdog.
-    since: Instant,
 }
 
 #[derive(Debug)]
@@ -57,7 +22,7 @@ struct PubQueue<T> {
     /// Stamps at or below this have been released (or were covered by
     /// an already-released floor) — later copies are duplicates.
     released_to: u64,
-    held: BTreeMap<u64, Held<T>>,
+    held: BTreeMap<u64, T>,
 }
 
 impl<T> Default for PubQueue<T> {
@@ -81,26 +46,18 @@ impl<T> HoldBack<T> {
     /// (and drops the item) when it is a duplicate shard copy — the
     /// stamp is already held or already released.
     pub fn insert(&mut self, publisher: &str, stamp: u64, item: T) -> bool {
-        self.insert_at(publisher, stamp, item, Instant::now())
-    }
-
-    /// As [`insert`](Self::insert) with an explicit insertion time, so
-    /// the stall watchdog is testable without sleeping.
-    pub fn insert_at(&mut self, publisher: &str, stamp: u64, item: T, now: Instant) -> bool {
         let q = self.queues.entry(publisher.to_string()).or_default();
         if stamp <= q.released_to || q.held.contains_key(&stamp) {
             return false;
         }
-        q.held.insert(stamp, Held { item, since: now });
+        q.held.insert(stamp, item);
         true
     }
 
     /// Releases everything eligible under the given publisher floors,
     /// in ascending stamp order per publisher. `floors` returns the
     /// publisher's `ordered_through`, or `None` when the publisher is
-    /// no longer a local connection — its held messages are then
-    /// released unconditionally (best-effort order) rather than held
-    /// forever against a floor that will never advance.
+    /// gone — its held messages are then released unconditionally.
     pub fn release(&mut self, mut floors: impl FnMut(&str) -> Option<u64>) -> Vec<T> {
         let mut out = Vec::new();
         self.queues.retain(|publisher, q| match floors(publisher) {
@@ -109,71 +66,17 @@ impl<T> HoldBack<T> {
                     if *entry.key() > floor {
                         break;
                     }
-                    out.push(entry.remove().item);
+                    out.push(entry.remove());
                 }
                 q.released_to = q.released_to.max(floor);
                 true
             }
             None => {
-                out.extend(std::mem::take(&mut q.held).into_values().map(|h| h.item));
+                out.extend(std::mem::take(&mut q.held).into_values());
                 false
             }
         });
         out
-    }
-
-    /// Publishers whose *oldest* held delivery has waited at least
-    /// `timeout` — their floor has stopped advancing (publisher parked
-    /// mid-publish, shard ack lost). The caller escalates: force-release
-    /// to restore liveness, count the stall, evict the culprit.
-    pub fn stalled(&self, now: Instant, timeout: Duration) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .queues
-            .iter()
-            .filter(|(_, q)| {
-                q.held
-                    .values()
-                    .next()
-                    .is_some_and(|h| now.duration_since(h.since) >= timeout)
-            })
-            .map(|(p, _)| p.clone())
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Age of the oldest held delivery across all publishers (drives
-    /// the held-duration gauge). `None` when nothing is held.
-    pub fn oldest_held_age(&self, now: Instant) -> Option<Duration> {
-        self.queues
-            .values()
-            .flat_map(|q| q.held.values())
-            .map(|h| now.duration_since(h.since))
-            .max()
-    }
-
-    /// Gives up on `publisher`'s floor: releases everything held from
-    /// it in ascending stamp order and bumps `released_to` past the
-    /// highest released stamp, so late shard copies of the released
-    /// stamps are dropped as duplicates. Per-publisher FIFO is traded
-    /// for liveness — documented escalation, counted by the caller.
-    pub fn force_release(&mut self, publisher: &str) -> Vec<T> {
-        let Some(q) = self.queues.get_mut(publisher) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (stamp, held) in std::mem::take(&mut q.held) {
-            q.released_to = q.released_to.max(stamp);
-            out.push(held.item);
-        }
-        out
-    }
-
-    /// Deliveries currently held (they count against the subscriber's
-    /// pending budget so a stalled publisher cannot pin unbounded
-    /// memory).
-    pub fn held_len(&self) -> usize {
-        self.queues.values().map(|q| q.held.len()).sum()
     }
 }
 
@@ -188,9 +91,8 @@ mod tests {
         assert!(hb.insert("alice", 5, "m5"));
         assert!(hb.insert("alice", 4, "m4"));
         assert_eq!(hb.release(|_| Some(3)), Vec::<&str>::new());
-        assert_eq!(hb.held_len(), 2);
         assert_eq!(hb.release(|_| Some(5)), vec!["m4", "m5"]);
-        assert_eq!(hb.held_len(), 0);
+        assert_eq!(hb.release(|_| Some(5)), Vec::<&str>::new());
     }
 
     #[test]
@@ -212,7 +114,7 @@ mod tests {
         // A straggler copy below the released floor is also dropped.
         assert!(!hb.insert("alice", 7, "third"), "released duplicate");
         assert!(!hb.insert("alice", 3, "older"), "below the floor");
-        assert_eq!(hb.held_len(), 0);
+        assert_eq!(hb.release(|_| Some(7)), Vec::<&str>::new());
     }
 
     #[test]
@@ -222,41 +124,8 @@ mod tests {
         hb.insert("bob", 1, "b1");
         let released = hb.release(|p| if p == "bob" { Some(1) } else { Some(0) });
         assert_eq!(released, vec!["b1"]);
-        assert_eq!(hb.held_len(), 1);
-    }
-
-    #[test]
-    fn watchdog_flags_stalled_publishers_only() {
-        let t0 = Instant::now();
-        let timeout = Duration::from_millis(500);
-        let mut hb = HoldBack::new();
-        hb.insert_at("alice", 4, "a4", t0);
-        hb.insert_at("bob", 1, "b1", t0 + Duration::from_millis(400));
-        let now = t0 + timeout;
-        assert_eq!(hb.stalled(now, timeout), vec!["alice".to_string()]);
-        assert_eq!(hb.oldest_held_age(now), Some(timeout));
-        // Alice's floor advances in time: no longer stalled.
-        assert_eq!(
-            hb.release(|p| Some(if p == "alice" { 4 } else { 0 })),
-            vec!["a4"]
-        );
-        assert!(hb.stalled(now, timeout).is_empty());
-    }
-
-    #[test]
-    fn force_release_restores_liveness_and_drops_stragglers() {
-        let mut hb = HoldBack::new();
-        hb.insert("alice", 4, "a4");
-        hb.insert("alice", 7, "a7");
-        hb.insert("bob", 1, "b1");
-        assert_eq!(hb.force_release("alice"), vec!["a4", "a7"]);
-        assert_eq!(hb.held_len(), 1, "bob untouched");
-        // Late shard copies of the force-released stamps are duplicates.
-        assert!(!hb.insert("alice", 7, "late"));
-        assert!(!hb.insert("alice", 5, "later"));
-        // New stamps above the bumped floor flow again.
-        assert!(hb.insert("alice", 8, "a8"));
-        assert_eq!(hb.force_release("nobody"), Vec::<&str>::new());
+        // Alice's message stayed held until her own floor reached it.
+        assert_eq!(hb.release(|_| Some(2)), vec!["a2"]);
     }
 
     #[test]
@@ -267,7 +136,6 @@ mod tests {
         let mut released = hb.release(|_| None);
         released.sort_unstable();
         assert_eq!(released, vec!["a8", "a9"]);
-        assert_eq!(hb.held_len(), 0);
         // The queue is gone; fresh inserts start a new epoch.
         assert!(hb.insert("alice", 1, "new"));
     }

@@ -13,15 +13,14 @@
 //!    once per dispatch batch and the pass below runs tens of µs after
 //!    the delivery. The 2 ms poll timeout remains as the housekeeping
 //!    tick, for everything no descriptor announces: retrying a partial
-//!    write, releasing deferred credits once ring pressure drops, the
-//!    hold-back release that needs a second pass (floors are
-//!    snapshotted before the drain), the stall watchdog, park expiry
-//!    and the stop flag;
+//!    write, releasing deferred credits once ring pressure drops, park
+//!    expiry and the stop flag;
 //! 2. accepts new connections (refusing past `max_clients`);
 //! 3. reads frames from the sockets the poll reported, handling
 //!    Hello/Join/Leave/Publish/Ack/Goodbye;
 //! 4. drains each session's daemon events into window-gated delivery
-//!    queues and credit grants;
+//!    queues and credit grants, then forwards the publishes the
+//!    sessions' publish gates release;
 //! 5. flushes write buffers and evicts slow consumers per policy.
 //!
 //! Backpressure is end-to-end: each daemon loop publishes its ring
@@ -32,8 +31,8 @@
 //!
 //! ## Sessions outlive connections
 //!
-//! A *session* (name, daemon registrations, flow state, hold-back
-//! queue) is decoupled from the socket that carries it. When a socket
+//! A *session* (name, daemon registrations, flow state, publish gate)
+//! is decoupled from the socket that carries it. When a socket
 //! dies without a [`ClientFrame::Goodbye`], the session is **parked**
 //! for a grace period instead of torn down: group memberships stay,
 //! deliveries keep queueing behind the frozen window, and sent-but-
@@ -53,15 +52,17 @@
 //!
 //! With [`serve_clients_sharded`], each session registers on every
 //! ring shard; joins route to the shard that owns the group
-//! ([`ar_daemon::ShardMap`]), publishes are stamped with a
+//! ([`ar_daemon::ShardMap`]), and publishes are stamped with a
 //! per-publisher sequence and split into one ordered message per
-//! shard touched, and stamped deliveries from local publishers pass
-//! through a per-connection hold-back queue ([`crate::order`]) so
-//! subscribers observe each publisher's messages in publish order even
-//! when consecutive publishes were ordered on different rings. A
-//! watchdog force-releases hold-back queues whose publisher floor has
-//! stopped advancing (trading per-publisher FIFO for liveness) and
-//! evicts the stalled publisher's session if it is parked.
+//! shard touched. Order is kept at ingress, not repaired on delivery:
+//! a session's [`PublishGate`] holds a publish bound for another shard
+//! until the session's earlier publishes are ordered, so every
+//! subscriber receives each ring's order as the ring made it, and a
+//! local publisher's messages in publish order. A multi-shard publish
+//! reaches a member of groups on both shards once per shard; the gate
+//! keeps the copies adjacent in that publisher's stream, so the
+//! subscriber drops a local copy that repeats the publisher's last
+//! stamp.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -77,15 +78,14 @@ use std::time::{Duration, Instant};
 use ar_core::ParticipantId;
 use ar_daemon::daemon::RingPressure;
 use ar_daemon::{
-    ClientEvent, DaemonClient, DaemonConnector, DaemonHandle, MemberId, ShardMap, ShardedDaemon,
-    TelemetryHub,
+    ClientError, ClientEvent, DaemonClient, DaemonConnector, DaemonHandle, MemberId, ShardMap,
+    ShardedDaemon, TelemetryHub,
 };
 use ar_net::{wake_pair, PollSet, WakeReceiver, Waker};
 use ar_telemetry::{Counter, Gauge, Histogram};
 use bytes::Bytes;
 
-use crate::credit::{DedupWindow, EvictReason, FlowConfig, FlowState, Offer};
-use crate::order::HoldBack;
+use crate::credit::{DedupWindow, EvictReason, FlowConfig, FlowState, Offer, PublishGate};
 use crate::wire::{
     decode_client, encode_server, frame, try_frame, ClientFrame, FrameBuf, ResumeToken,
     ServerFrame, PROTOCOL_VERSION,
@@ -111,9 +111,6 @@ pub struct SvcConfig {
     /// Eviction budget for a parked session's retained (sent but
     /// unacked) delivery frames.
     pub park_max_bytes: usize,
-    /// Hold-back stall watchdog: a publisher whose oldest held
-    /// delivery has waited this long is force-released.
-    pub holdback_stall_timeout: Duration,
     /// Publish-id dedup window per session (granted ids remembered
     /// across reconnects).
     pub dedup_window: usize,
@@ -131,7 +128,6 @@ impl Default for SvcConfig {
             event_capacity: ar_daemon::DEFAULT_EVENT_CAPACITY,
             park_grace: Duration::from_secs(30),
             park_max_bytes: 4 << 20,
-            holdback_stall_timeout: Duration::from_secs(10),
             dedup_window: 1024,
             telemetry: None,
         }
@@ -145,7 +141,7 @@ pub struct SvcStats {
     pub connected: Gauge,
     /// Sessions evicted as slow consumers.
     pub evicted: Counter,
-    /// Publishes rejected for lack of credits.
+    /// Publishes rejected for lack of credits (or naming no group).
     pub publish_rejects: Counter,
     /// Credit grants sent.
     pub credit_grants: Counter,
@@ -159,9 +155,6 @@ pub struct SvcStats {
     pub refused: Counter,
     /// Join/leave requests rejected (reported via GroupRejected).
     pub join_rejected: Counter,
-    /// Stamped deliveries currently held back awaiting their
-    /// publisher's cross-shard floor.
-    pub holdback_held: Gauge,
     /// Sessions successfully resumed after a connection drop.
     pub sessions_resumed: Counter,
     /// Sessions currently parked (disconnected, awaiting resume).
@@ -171,10 +164,6 @@ pub struct SvcStats {
     pub resume_rejected: Counter,
     /// Bytes of sent-but-unacked Deliver frames retained for replay.
     pub retained_bytes: Gauge,
-    /// Hold-back stalls: publishers force-released by the watchdog.
-    pub holdback_stalled: Counter,
-    /// Age of the oldest held-back delivery, milliseconds.
-    pub holdback_held_ms: Gauge,
     /// Publishes dropped as duplicates of an in-flight or granted id
     /// (re-sent across a reconnect).
     pub dedup_hits: Counter,
@@ -202,7 +191,7 @@ impl SvcStats {
             ),
             publish_rejects: hub.registry.counter(
                 "ar_svc_publish_rejects_total",
-                "Publishes rejected because the session had no credits",
+                "Publishes rejected because the session had no credits (or named no group)",
             ),
             credit_grants: hub.registry.counter(
                 "ar_svc_credit_grants_total",
@@ -228,10 +217,6 @@ impl SvcStats {
                 "ar_svc_join_rejected_total",
                 "Join/leave requests rejected (GroupRejected frames sent)",
             ),
-            holdback_held: hub.registry.gauge(
-                "ar_svc_holdback_held",
-                "Deliveries held back awaiting a publisher's cross-shard floor",
-            ),
             sessions_resumed: hub.registry.counter(
                 "ar_svc_sessions_resumed_total",
                 "Sessions successfully resumed after a connection drop",
@@ -247,14 +232,6 @@ impl SvcStats {
             retained_bytes: hub.registry.gauge(
                 "ar_svc_retained_bytes",
                 "Bytes of sent-but-unacked Deliver frames retained for resume replay",
-            ),
-            holdback_stalled: hub.registry.counter(
-                "ar_svc_holdback_stalled_total",
-                "Publishers force-released by the hold-back stall watchdog",
-            ),
-            holdback_held_ms: hub.registry.gauge(
-                "ar_svc_holdback_held_ms",
-                "Age of the oldest held-back delivery, milliseconds",
             ),
             dedup_hits: hub.registry.counter(
                 "ar_svc_publish_dedup_total",
@@ -368,9 +345,8 @@ pub fn serve_clients(
 
 /// Starts the service tier for every ring shard of a
 /// [`ShardedDaemon`]: sessions register on all shards, joins and
-/// publishes route by the shard map, and the cross-shard hold-back
-/// layer preserves per-publisher FIFO for locally connected
-/// publishers.
+/// publishes route by the shard map, and each session's
+/// [`PublishGate`] keeps its publishes FIFO across rings.
 ///
 /// # Errors
 ///
@@ -447,6 +423,7 @@ fn serve_shards(
         next_conn: 0,
         sessions: HashMap::new(),
         by_name: HashMap::new(),
+        retired_stamps: 0,
         session_seed: session_salt(),
         poll: PollSet::new(),
         waker,
@@ -588,6 +565,32 @@ struct DeliverBody {
     payload: Bytes,
 }
 
+/// A stamped publish on its way to the shards its groups live on.
+#[derive(Debug)]
+struct Outbound {
+    stamp: u64,
+    service: ar_core::ServiceType,
+    /// One part per shard the groups touch ([`ShardMap::partition`]).
+    parts: Vec<(usize, Vec<String>)>,
+    payload: Bytes,
+}
+
+impl Outbound {
+    /// Sends one ordered message per part.
+    fn send(&self, clients: &[DaemonClient]) -> Result<(), ClientError> {
+        for (shard, part) in &self.parts {
+            let refs: Vec<&str> = part.iter().map(String::as_str).collect();
+            clients[*shard].multicast_stamped(
+                &refs,
+                self.service,
+                self.stamp,
+                self.payload.clone(),
+            )?;
+        }
+        Ok(())
+    }
+}
+
 /// One registered client identity: daemon registrations, flow state,
 /// ordering state, and the resume machinery. Outlives the socket that
 /// carries it (see the module docs).
@@ -597,14 +600,22 @@ struct Session {
     /// Attach generation; bumped on every successful resume so a stale
     /// token cannot hijack a re-attached session.
     epoch: u64,
-    /// The session's private name (hold-back floors are looked up by
-    /// publisher name).
+    /// The session's private name.
     name: String,
     /// One registered client per ring shard, index = shard.
     clients: Vec<DaemonClient>,
     flow: Box<FlowState<DeliverBody>>,
-    /// Cross-shard per-publisher reorder queue.
-    hold: HoldBack<DeliverBody>,
+    /// Publishes held at ingress behind earlier ones on other shards.
+    gate: PublishGate<Outbound>,
+    /// Per local publisher, the stamp of its last delivery here. A
+    /// delivery repeating it is the second shard copy of a multi-shard
+    /// publish, which the gate keeps adjacent to the first, and is
+    /// dropped. Stamps never repeat under one name
+    /// ([`Server::retired_stamps`]), so a removed session's copy still
+    /// in flight cannot pass for a new session's publish (at worst it
+    /// is itself delivered twice). An entry goes with its publisher's
+    /// session, which bounds the map by the live names.
+    last_stamp: HashMap<String, u64>,
     /// Publish-id dedup across reconnects.
     dedup: DedupWindow,
     /// Last membership snapshot per joined group, replayed on resume.
@@ -655,11 +666,26 @@ fn push_frame(wbuf: &mut WriteBuf, frame_body: &ServerFrame) {
     wbuf.push(frame(&encode_server(frame_body)));
 }
 
+/// Condemns a session and the live connection carrying it, if any,
+/// telling the client why.
+fn evict(conn: Option<&mut Conn>, sess: &mut Session, reason: &str) {
+    if let Some(conn) = conn.filter(|c| !c.dead) {
+        push_frame(
+            &mut conn.wbuf,
+            &ServerFrame::Evicted {
+                reason: reason.into(),
+            },
+        );
+        conn.dead = true;
+    }
+    sess.dead = true;
+}
+
 // ---- server loop ----------------------------------------------------------
 
 struct Server {
     /// The participant id all shards present (locality test for
-    /// hold-back: only locally connected publishers have floors).
+    /// duplicate collapse: only local publishers are gated).
     pid: ParticipantId,
     /// Group → shard placement.
     map: ShardMap,
@@ -678,6 +704,11 @@ struct Server {
     sessions: HashMap<u64, Session>,
     /// Name → session id (names are unique across the tier).
     by_name: HashMap<String, u64>,
+    /// The highest stamp any removed session issued. A fresh session
+    /// stamps above it, so a name reused right after a Goodbye or a
+    /// parked session's eviction never repeats a stamp whose copies
+    /// may still be on their way to subscribers.
+    retired_stamps: u64,
     /// SplitMix64 state for session-id generation.
     session_seed: u64,
     poll: PollSet,
@@ -699,7 +730,6 @@ impl Server {
             self.accept_new();
             self.read_all();
             self.pump_daemon_events();
-            self.watchdog();
             self.fill_windows();
             self.flush_all();
             self.park_and_reap();
@@ -825,6 +855,7 @@ impl Server {
             .collect();
         for id in ids {
             let mut frames = Vec::new();
+            let mut oversized = false;
             {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     continue;
@@ -852,58 +883,50 @@ impl Server {
                         Ok(Some(f)) => frames.push(f),
                         Ok(None) => break,
                         Err(_) => {
-                            // Oversized frame: protocol error, the
-                            // session dies with the socket.
-                            conn.dead = true;
-                            if let Some(sid) = conn.session {
-                                if let Some(sess) = self.sessions.get_mut(&sid) {
-                                    sess.dead = true;
-                                }
-                            }
+                            oversized = true;
                             break;
                         }
                     }
                 }
             }
-            for f in frames {
-                self.handle_frame(id, &f);
+            let decoded = frames.iter().all(|f| self.handle_frame(id, f));
+            if !decoded || oversized {
+                self.protocol_error(id);
             }
         }
     }
 
-    /// Condemns a connection *and its session* — used for protocol
-    /// errors, where parking would reward a corrupt peer.
-    fn kill_conn(&mut self, id: u64, reason: &str) {
+    /// Condemns a connection that broke the framing or sent an
+    /// undecodable frame. Before the handshake it was never admitted
+    /// and is refused; after it, its session dies with it (parking
+    /// would reward a corrupt peer).
+    fn protocol_error(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        push_frame(
-            &mut conn.wbuf,
-            &ServerFrame::Evicted {
-                reason: reason.into(),
-            },
-        );
-        conn.dead = true;
-        if let Some(sid) = conn.session {
-            if let Some(sess) = self.sessions.get_mut(&sid) {
-                sess.dead = true;
+        match conn.session.and_then(|sid| self.sessions.get_mut(&sid)) {
+            Some(sess) => evict(Some(conn), sess, "protocol error"),
+            None => {
+                let reason = "protocol error".into();
+                push_frame(&mut conn.wbuf, &ServerFrame::Refused { reason });
+                conn.dead = true;
+                self.stats.refused.add(1);
             }
         }
     }
 
-    fn handle_frame(&mut self, id: u64, bytes: &[u8]) {
+    /// Handles one frame; false (and nothing done) when it does not
+    /// decode.
+    fn handle_frame(&mut self, id: u64, bytes: &[u8]) -> bool {
         let Ok(req) = decode_client(bytes) else {
-            self.kill_conn(id, "protocol error");
-            return;
+            return false;
         };
-        let sid = match self.conns.get(&id) {
-            Some(conn) => conn.session,
-            None => return,
-        };
-        match sid {
-            None => self.handle_hello(id, req),
-            Some(sid) => self.handle_active(id, sid, req),
+        match self.conns.get(&id).map(|conn| conn.session) {
+            Some(None) => self.handle_hello(id, req),
+            Some(Some(sid)) => self.handle_active(id, sid, req),
+            None => {}
         }
+        true
     }
 
     // ---- handshake --------------------------------------------------------
@@ -1087,8 +1110,12 @@ impl Server {
             epoch: 1,
             name: name.clone(),
             clients,
-            flow: Box::new(FlowState::new(self.config.flow)),
-            hold: HoldBack::new(),
+            flow: Box::new(FlowState::stamping_after(
+                self.config.flow,
+                self.retired_stamps,
+            )),
+            gate: PublishGate::new(),
+            last_stamp: HashMap::new(),
             dedup: DedupWindow::new(self.config.dedup_window),
             memberships: HashMap::new(),
             retained: VecDeque::new(),
@@ -1142,16 +1169,7 @@ impl Server {
             return;
         };
         match req {
-            ClientFrame::Hello { .. } => {
-                push_frame(
-                    &mut conn.wbuf,
-                    &ServerFrame::Evicted {
-                        reason: "duplicate hello".into(),
-                    },
-                );
-                conn.dead = true;
-                sess.dead = true;
-            }
+            ClientFrame::Hello { .. } => evict(Some(conn), sess, "duplicate hello"),
             ClientFrame::Goodbye => {
                 // Clean close: tear the session down now (ordered
                 // leaves for every joined group) instead of parking.
@@ -1223,32 +1241,37 @@ impl Server {
                 }
                 // One ordered message per shard the group list touches;
                 // one credit and one stamp per publish regardless.
-                let refs: Vec<&str> = groups.iter().map(String::as_str).collect();
-                let parts = self.map.partition(&refs);
-                match sess.flow.try_consume_credit(pub_id, parts.len() as u32) {
-                    Some(stamp) => {
-                        let mut failed = None;
-                        for (shard, part) in &parts {
-                            if let Err(e) = sess.clients[*shard].multicast_stamped(
-                                part,
-                                service,
-                                stamp,
-                                payload.clone(),
-                            ) {
-                                failed = Some(e.to_string());
-                                break;
-                            }
-                        }
-                        match failed {
-                            None => self.stats.publishes.add(1),
-                            Some(reason) => {
-                                push_frame(&mut conn.wbuf, &ServerFrame::Evicted { reason });
-                                conn.dead = true;
-                                sess.dead = true;
-                            }
+                let parts = self.map.partition(groups);
+                let stamp = match parts.len() {
+                    // Nothing would be ordered, so nothing would ever
+                    // return the credit or open the gate behind it.
+                    0 => Err("publish names no group"),
+                    n => sess
+                        .flow
+                        .try_consume_credit(pub_id, n as u32)
+                        .ok_or("no publish credits; wait for CreditGrant"),
+                };
+                match stamp {
+                    Ok(stamp) => {
+                        self.stats.publishes.add(1);
+                        let lane = match parts[..] {
+                            [(shard, _)] => Some(shard),
+                            _ => None,
+                        };
+                        let out = Outbound {
+                            stamp,
+                            service,
+                            parts,
+                            payload,
+                        };
+                        let Some(out) = sess.gate.admit(stamp, lane, out) else {
+                            return;
+                        };
+                        if let Err(e) = out.send(&sess.clients) {
+                            evict(Some(conn), sess, &e.to_string());
                         }
                     }
-                    None => {
+                    Err(reason) => {
                         // No credit consumed, nothing forwarded: a
                         // retry of this id must be treated as fresh.
                         sess.dedup.forget(pub_id);
@@ -1256,7 +1279,7 @@ impl Server {
                             &mut conn.wbuf,
                             &ServerFrame::PublishReject {
                                 id: pub_id,
-                                reason: "no publish credits; wait for CreditGrant".into(),
+                                reason: reason.into(),
                             },
                         );
                         self.stats.publish_rejects.add(1);
@@ -1270,34 +1293,34 @@ impl Server {
         }
     }
 
-    /// Converts queued daemon events into frames: deliveries into the
-    /// window-gated pending queue, membership/network changes straight
-    /// to the write buffer, Ordered acks into credit grants (deferred
-    /// while the ring is congested). Runs for parked sessions too —
-    /// their queues keep filling and their grants are recorded in the
-    /// dedup window for recovery via republish.
+    /// Drains every session's daemon events, then forwards what the
+    /// publish gates release. A first sweep that saw a gated
+    /// publisher's floor advance is followed at once by the sweep that
+    /// settles it (see [`PublishGate`]), so a shard switch costs one
+    /// ordering, not a wait for the next wake.
     fn pump_daemon_events(&mut self) {
+        self.sweep();
+        if self.sessions.values().any(|s| !s.dead && s.gate.ripe()) {
+            self.sweep();
+        }
+    }
+
+    /// One sweep: converts queued daemon events into frames —
+    /// deliveries into the window-gated pending queue, membership and
+    /// network changes straight to the write buffer, Ordered acks into
+    /// credit grants (deferred while the ring is congested) — for every
+    /// session, then forwards the publishes the gates release. Runs for
+    /// parked sessions too: their queues keep filling, their grants are
+    /// recorded in the dedup window for recovery via republish, and
+    /// their gated publishes still go out.
+    fn sweep(&mut self) {
         let congested = self
             .pressures
             .iter()
             .any(|p| p.send_queue_depth() > self.config.ring_high_watermark);
-        // Publisher floors are snapshotted BEFORE the drain pass: a
-        // floor observed now is only safe to release against once all
-        // shard queues that could hold earlier stamps are drained (see
-        // `crate::order` for the invariant). Parked sessions keep
-        // their floors — their in-flight publishes still complete.
-        // One ring is already an order and never reads a floor.
-        let single_ring = self.connectors.len() == 1;
-        let mut floors: HashMap<String, u64> = HashMap::new();
-        if !single_ring {
-            for sess in self.sessions.values() {
-                if !sess.dead {
-                    floors.insert(sess.name.clone(), sess.flow.ordered_through());
-                }
-            }
-        }
+        // One ring is one order: nothing to collapse.
+        let multi_ring = self.connectors.len() > 1;
         let pid = self.pid;
-        let max_pending = self.config.flow.max_pending;
         let mut deferred_delta: i64 = 0;
         let Server {
             sessions,
@@ -1326,6 +1349,14 @@ impl Server {
                             stamp,
                             payload,
                         } => {
+                            if multi_ring
+                                && stamp != 0
+                                && sender.daemon == pid
+                                && sess.last_stamp.insert(sender.client.clone(), stamp)
+                                    == Some(stamp)
+                            {
+                                continue;
+                            }
                             let body = DeliverBody {
                                 shard: shard as u16,
                                 ring_seq,
@@ -1334,28 +1365,9 @@ impl Server {
                                 groups,
                                 payload,
                             };
-                            // Hold back only stamped traffic from
-                            // publishers connected to this tier: only
-                            // they have a floor that will advance.
-                            // Single-ring mode needs no hold-back at
-                            // all — one ring is already an order.
-                            let hold = !single_ring
-                                && stamp != 0
-                                && body.sender.daemon == pid
-                                && floors.contains_key(&body.sender.client);
-                            if !hold {
-                                if let Err(reason) = sess.flow.queue_delivery(body) {
-                                    evict_reason = Some(reason);
-                                    break 'shards;
-                                }
-                            } else {
-                                let publisher = body.sender.client.clone();
-                                if sess.hold.insert(&publisher, stamp, body)
-                                    && sess.hold.held_len() + sess.flow.pending_len() > max_pending
-                                {
-                                    evict_reason = Some(EvictReason::PendingOverflow);
-                                    break 'shards;
-                                }
+                            if let Err(reason) = sess.flow.queue_delivery(body) {
+                                evict_reason = Some(reason);
+                                break 'shards;
                             }
                         }
                         ClientEvent::Ordered { stamp, .. } => {
@@ -1397,18 +1409,14 @@ impl Server {
                     }
                 }
             }
-            // Every shard queue drained: release what the snapshotted
-            // floors cover, in per-publisher stamp order.
-            if evict_reason.is_none() && !single_ring {
-                for body in sess
-                    .hold
-                    .release(|publisher| floors.get(publisher).copied())
-                {
-                    if let Err(reason) = sess.flow.queue_delivery(body) {
-                        evict_reason = Some(reason);
-                        break;
-                    }
-                }
+            // With several rings a lost Ordered would hold the session's
+            // gate shut for good: its floor can no longer be trusted.
+            // One ring is one lane, which a lost Ordered cannot close.
+            if multi_ring
+                && evict_reason.is_none()
+                && sess.clients.iter().any(|c| c.dropped_events() > 0)
+            {
+                evict_reason = Some(EvictReason::EventsLost);
             }
             // Congestion cleared: release withheld credits.
             if !congested && sess.flow.deferred_len() > 0 {
@@ -1429,90 +1437,24 @@ impl Server {
                 }
             }
             if let Some(reason) = evict_reason {
-                if let Some(w) = wbuf {
-                    push_frame(
-                        w,
-                        &ServerFrame::Evicted {
-                            reason: reason.as_str().into(),
-                        },
-                    );
-                }
-                sess.dead = true;
-                if let Some(cid) = sess.conn {
-                    if let Some(conn) = conns.get_mut(&cid) {
-                        conn.dead = true;
-                    }
-                }
+                let conn = sess.conn.and_then(|cid| conns.get_mut(&cid));
+                evict(conn, sess, reason.as_str());
                 stats.evicted.add(1);
+            }
+        }
+        // Every session drained: forward what the gates release.
+        for sess in sessions.values_mut().filter(|s| !s.dead) {
+            let released = sess.gate.on_sweep(sess.flow.ordered_through());
+            if let Some(e) = released
+                .iter()
+                .find_map(|out| out.send(&sess.clients).err())
+            {
+                let conn = sess.conn.and_then(|cid| conns.get_mut(&cid));
+                evict(conn, sess, &e.to_string());
             }
         }
         if deferred_delta != 0 {
             self.stats.deferred_grants.add(deferred_delta);
-        }
-    }
-
-    /// The hold-back stall watchdog: a publisher whose floor has
-    /// stopped advancing (evicted mid-publish with a shard copy lost,
-    /// or any ack path failure) would otherwise hold its subscribers'
-    /// deliveries forever. Force-release trades that publisher's FIFO
-    /// for liveness; if the stalled publisher's own session is parked,
-    /// it is evicted — its floor can no longer be trusted to advance.
-    fn watchdog(&mut self) {
-        let timeout = self.config.holdback_stall_timeout;
-        if timeout.is_zero() {
-            return;
-        }
-        let now = Instant::now();
-        let mut stalled_publishers: Vec<String> = Vec::new();
-        let Server {
-            sessions,
-            conns,
-            stats,
-            ..
-        } = self;
-        for sess in sessions.values_mut() {
-            if sess.dead {
-                continue;
-            }
-            let stalled = sess.hold.stalled(now, timeout);
-            if stalled.is_empty() {
-                continue;
-            }
-            let mut evict_reason = None;
-            for publisher in stalled {
-                stats.holdback_stalled.add(1);
-                for body in sess.hold.force_release(&publisher) {
-                    if let Err(reason) = sess.flow.queue_delivery(body) {
-                        evict_reason = Some(reason);
-                        break;
-                    }
-                }
-                stalled_publishers.push(publisher);
-            }
-            if let Some(reason) = evict_reason {
-                if let Some(conn) = sess.conn.and_then(|cid| conns.get_mut(&cid)) {
-                    push_frame(
-                        &mut conn.wbuf,
-                        &ServerFrame::Evicted {
-                            reason: reason.as_str().into(),
-                        },
-                    );
-                    conn.dead = true;
-                }
-                sess.dead = true;
-                stats.evicted.add(1);
-            }
-        }
-        stalled_publishers.sort_unstable();
-        stalled_publishers.dedup();
-        for name in stalled_publishers {
-            if let Some(&sid) = self.by_name.get(&name) {
-                if let Some(sess) = self.sessions.get_mut(&sid) {
-                    if sess.conn.is_none() {
-                        sess.dead = true;
-                    }
-                }
-            }
         }
     }
 
@@ -1557,14 +1499,7 @@ impl Server {
                         sent += 1;
                     }
                     Err(e) => {
-                        push_frame(
-                            &mut conn.wbuf,
-                            &ServerFrame::Evicted {
-                                reason: e.to_string(),
-                            },
-                        );
-                        conn.dead = true;
-                        sess.dead = true;
+                        evict(Some(conn), sess, &e.to_string());
                         stats.evicted.add(1);
                         break;
                     }
@@ -1681,23 +1616,26 @@ impl Server {
     }
 
     /// Removes a session outright; dropping its [`DaemonClient`]s
-    /// queues the daemon Unregisters (ordered leaves).
+    /// queues the daemon Unregisters (ordered leaves), and its gated
+    /// publishes die with it, as in-flight ones do.
     fn remove_session(&mut self, sid: u64) {
-        if let Some(sess) = self.sessions.remove(&sid) {
-            if self.by_name.get(&sess.name) == Some(&sid) {
-                self.by_name.remove(&sess.name);
-            }
+        let Some(gone) = self.sessions.remove(&sid) else {
+            return;
+        };
+        if self.by_name.get(&gone.name) == Some(&sid) {
+            self.by_name.remove(&gone.name);
+        }
+        self.retired_stamps = self.retired_stamps.max(gone.flow.last_stamp());
+        for sess in self.sessions.values_mut() {
+            sess.last_stamp.remove(&gone.name);
         }
     }
 
     /// Recomputes the absolute gauges each tick — cheaper to re-derive
     /// than to thread deltas through every park/resume/evict path.
     fn refresh_gauges(&mut self) {
-        let now = Instant::now();
         let mut parked = 0i64;
         let mut retained = 0i64;
-        let mut held = 0i64;
-        let mut oldest_ms = 0i64;
         for sess in self.sessions.values() {
             if sess.dead {
                 continue;
@@ -1706,14 +1644,8 @@ impl Server {
                 parked += 1;
             }
             retained += sess.retained_bytes as i64;
-            held += sess.hold.held_len() as i64;
-            if let Some(age) = sess.hold.oldest_held_age(now) {
-                oldest_ms = oldest_ms.max(age.as_millis() as i64);
-            }
         }
         self.stats.sessions_parked.set(parked);
         self.stats.retained_bytes.set(retained);
-        self.stats.holdback_held.set(held);
-        self.stats.holdback_held_ms.set(oldest_ms);
     }
 }

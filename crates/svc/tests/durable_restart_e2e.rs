@@ -316,7 +316,8 @@ fn old_line_protocol_hello(name: &str) -> Vec<u8> {
 /// One listener, one protocol: the deployment file's `clients=`
 /// address serves the service tier when no `--client-addr` is given,
 /// `--client-addr` replaces it, and a client still speaking the
-/// removed line protocol is refused and disconnected.
+/// removed line protocol, or breaking the framing, is refused and
+/// disconnected.
 #[test]
 fn clients_address_serves_the_service_tier() {
     let base = std::env::temp_dir().join(format!("ar-listener-e2e-{}", std::process::id()));
@@ -353,32 +354,34 @@ fn clients_address_serves_the_service_tier() {
     );
     assert_eq!(stream, [Bytes::from_static(b"hello")]);
 
-    // A line-protocol Hello is answered with a refusal (if anything)
-    // and the connection is closed: no hang, no session.
-    let mut old = TcpStream::connect(&file_addr).unwrap();
-    old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    old.write_all(&old_line_protocol_hello("bob")).unwrap();
-    let mut reply = FrameBuf::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match old.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => reply.extend(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
-            Err(e) => panic!("server neither answered nor closed: {e}"),
+    // A line-protocol Hello, and a length prefix past the frame cap,
+    // are each answered with one refusal — the connection was never
+    // admitted — and a close: no hang, no session.
+    for (what, bytes) in [
+        ("line-protocol hello", old_line_protocol_hello("bob")),
+        ("oversized prefix", u32::MAX.to_be_bytes().to_vec()),
+    ] {
+        let mut old = TcpStream::connect(&file_addr).unwrap();
+        old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        old.write_all(&bytes).unwrap();
+        let mut reply = FrameBuf::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match old.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => reply.extend(&chunk[..n]),
+                Err(e) => panic!("{what}: server neither answered nor closed: {e}"),
+            }
         }
-    }
-    while let Some(frame) = reply.next_frame().expect("well-formed reply") {
-        let frame = decode_server(&frame).expect("well-formed reply");
+        let frame = reply.next_frame().expect("well-formed reply");
+        let frame = decode_server(&frame.expect("a reply frame")).expect("well-formed reply");
         assert!(
-            matches!(
-                frame,
-                ServerFrame::Refused { .. } | ServerFrame::Evicted { .. }
-            ),
-            "old-protocol client must not be welcomed: {frame:?}"
+            matches!(&frame, ServerFrame::Refused { reason } if reason == "protocol error"),
+            "{what}: want a protocol-error refusal, got {frame:?}"
         );
+        assert!(reply.is_empty(), "{what}: nothing after the refusal");
     }
-    // The daemon shrugged it off and still serves real clients.
+    // The daemon shrugged them off and still serves real clients.
     drop(connect(&file_addr, "carol"));
     drop(alice);
     drop(d0);

@@ -293,7 +293,6 @@ fn service_tier_metrics_are_exported() {
         "ar_svc_sessions_parked",
         "ar_svc_resume_rejected_total",
         "ar_svc_retained_bytes",
-        "ar_svc_holdback_stalled_total",
         "ar_svc_loop_passes_total{cause=\"wake\"}",
         "ar_svc_loop_passes_total{cause=\"socket\"}",
         "ar_svc_loop_passes_total{cause=\"tick\"}",

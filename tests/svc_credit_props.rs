@@ -1,5 +1,6 @@
 //! Property tests for the service tier's flow-control state machine
-//! ([`FlowState`]) and the frame extractor's lazy compaction.
+//! ([`FlowState`]), its publish gate ([`PublishGate`]) and the frame
+//! extractor's lazy compaction.
 //!
 //! The credit machine guards daemon memory against misbehaving
 //! clients, so the properties are adversarial: acks that overrun or
@@ -8,10 +9,10 @@
 //! property is the classic streaming invariant — how the byte stream
 //! is split across reads can never change which frames come out.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use accelerated_ring::svc::wire::{frame, FrameBuf};
-use accelerated_ring::svc::{DedupWindow, FlowConfig, FlowState, Offer};
+use accelerated_ring::svc::{DedupWindow, FlowConfig, FlowState, Offer, PublishGate};
 use proptest::prelude::*;
 
 fn small_cfg(credits: u32, window: u32) -> FlowConfig {
@@ -75,7 +76,132 @@ fn arb_credit_ops() -> impl Strategy<Value = Vec<CreditOp>> {
     )
 }
 
+/// One step of a publish-gate schedule over three ring shards.
+#[derive(Debug, Clone)]
+enum GateOp {
+    /// Publish to the shards in a non-empty bitmask.
+    Publish(u8),
+    /// The ring of this shard orders its oldest forwarded copy.
+    Order(usize),
+    /// A sweep of every session ends.
+    Sweep,
+}
+
+fn arb_gate_ops() -> impl Strategy<Value = Vec<GateOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            (1u8..8).prop_map(GateOp::Publish),
+            (0usize..3).prop_map(GateOp::Order),
+            Just(GateOp::Sweep),
+        ],
+        0..200,
+    )
+}
+
+/// The rings as the gate's session sees them.
+#[derive(Default)]
+struct Rings {
+    /// Per shard, forwarded copies not yet ordered, oldest first.
+    queues: [VecDeque<u64>; 3],
+    /// Forwarded publishes with copies still unordered: stamp →
+    /// (shards, copies left).
+    unordered: BTreeMap<u64, (Vec<usize>, usize)>,
+    last_forwarded: u64,
+}
+
+impl Rings {
+    /// Forwards what the gate let through, checking the gate's
+    /// promise first.
+    fn forward(&mut self, released: Vec<(u64, Vec<usize>)>) {
+        for (stamp, shards) in released {
+            prop_assert!(
+                stamp > self.last_forwarded,
+                "stamp {} forwarded after {}",
+                stamp,
+                self.last_forwarded
+            );
+            self.last_forwarded = stamp;
+            for (earlier, (on, _)) in &self.unordered {
+                prop_assert!(
+                    shards.len() == 1 && *on == shards,
+                    "stamp {} to {:?} while stamp {} on {:?} is unordered",
+                    stamp,
+                    shards,
+                    earlier,
+                    on
+                );
+            }
+            for &s in &shards {
+                self.queues[s].push_back(stamp);
+            }
+            self.unordered.insert(stamp, (shards.clone(), shards.len()));
+        }
+    }
+
+    /// Shard `s` orders its oldest copy; returns its stamp.
+    fn order(&mut self, s: usize) -> Option<u64> {
+        let stamp = self.queues[s].pop_front()?;
+        let left = &mut self.unordered.get_mut(&stamp).expect("forwarded").1;
+        *left -= 1;
+        if *left == 0 {
+            self.unordered.remove(&stamp);
+        }
+        Some(stamp)
+    }
+}
+
 proptest! {
+    /// The publish gate under random shard sets and random ack
+    /// interleavings across shards: forwarded stamps strictly increase,
+    /// no publish reaches a shard while an earlier publish that touched
+    /// any other shard is unordered, the gate never holds more than the
+    /// session's credits, and once the rings catch up every gated
+    /// publish goes out.
+    #[test]
+    fn gate_never_forwards_past_an_unordered_shard(
+        credits in 1u32..6,
+        ops in arb_gate_ops(),
+    ) {
+        let mut fs: FlowState<()> = FlowState::new(small_cfg(credits, 4));
+        let mut gate: PublishGate<(u64, Vec<usize>)> = PublishGate::new();
+        let mut rings = Rings::default();
+        let mut next_id = 0u64;
+        for op in ops {
+            match op {
+                GateOp::Publish(mask) => {
+                    let shards: Vec<usize> = (0..3).filter(|s| mask & (1 << s) != 0).collect();
+                    if let Some(stamp) = fs.try_consume_credit(next_id, shards.len() as u32) {
+                        next_id += 1;
+                        let lane = match shards[..] {
+                            [s] => Some(s),
+                            _ => None,
+                        };
+                        let now = gate.admit(stamp, lane, (stamp, shards.clone()));
+                        rings.forward(now.into_iter().collect());
+                    }
+                }
+                GateOp::Order(s) => {
+                    if let Some(stamp) = rings.order(s) {
+                        fs.on_ordered(stamp, false);
+                    }
+                }
+                GateOp::Sweep => rings.forward(gate.on_sweep(fs.ordered_through())),
+            }
+            prop_assert!(gate.len() <= credits as usize, "gate holds {}", gate.len());
+        }
+        // The rings catch up: every gated publish is released within
+        // two sweeps of its predecessors being ordered.
+        for _ in 0..=2 * credits {
+            for s in 0..3 {
+                while let Some(stamp) = rings.order(s) {
+                    fs.on_ordered(stamp, false);
+                }
+            }
+            rings.forward(gate.on_sweep(fs.ordered_through()));
+        }
+        prop_assert!(gate.is_empty(), "{} publishes stuck at the gate", gate.len());
+    }
+
     /// However the consumer lies in its acks — overruns beyond what
     /// was sent, regressions, repeats — the window arithmetic never
     /// underflows, never exceeds the configured window, and delivery
