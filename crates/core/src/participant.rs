@@ -515,6 +515,8 @@ impl Participant {
             Message::Data(d) => self.handle_data(d),
             Message::Join(j) => self.handle_join(j),
             Message::Commit(c) => self.handle_commit(c),
+            // The runtime's idle-token hold: no protocol state.
+            Message::HoldCancel { .. } => Vec::new(),
         }
     }
 

@@ -250,6 +250,11 @@ impl StateHash for Message {
                 h.write_u8(4);
                 c.state_hash_into(h);
             }
+            Message::HoldCancel { ring_id, pid } => {
+                h.write_u8(5);
+                ring_id.state_hash_into(h);
+                pid.state_hash_into(h);
+            }
         }
     }
 }

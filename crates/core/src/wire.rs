@@ -42,6 +42,7 @@ enum Kind {
     Token = 2,
     Join = 3,
     Commit = 4,
+    HoldCancel = 5,
 }
 
 /// Any protocol message, as it appears on the wire.
@@ -55,6 +56,15 @@ pub enum Message {
     Join(JoinMessage),
     /// The membership commit token.
     Commit(CommitToken),
+    /// Asks the ring representative to release an idle token it is
+    /// holding: `pid` has something to send on ring `ring_id`. Sent and
+    /// consumed by the runtime (`ar-net`); the participant ignores it.
+    HoldCancel {
+        /// The ring whose token should move.
+        ring_id: RingId,
+        /// The participant with something to send.
+        pid: ParticipantId,
+    },
 }
 
 impl Message {
@@ -65,6 +75,7 @@ impl Message {
             Message::Token(_) => "token",
             Message::Join(_) => "join",
             Message::Commit(_) => "commit",
+            Message::HoldCancel { .. } => "hold_cancel",
         }
     }
 }
@@ -174,10 +185,15 @@ pub fn encoded_len(msg: &Message) -> usize {
         Message::Token(t) => 1 + RING_ID_LEN + 8 + 8 + 8 + 3 + 4 + 4 + 8 * t.rtr.len(),
         Message::Join(j) => 1 + 2 + 8 + 4 + 2 * j.proc_set.len() + 4 + 2 * j.fail_set.len(),
         Message::Commit(c) => 1 + RING_ID_LEN + 4 + 4 + c.memb.len() * MEMBER_INFO_LEN,
+        Message::HoldCancel { .. } => HOLD_CANCEL_LEN,
     }
 }
 
 const MEMBER_INFO_LEN: usize = 2 + RING_ID_LEN + 8 + 8 + 8 + 1;
+
+/// Size in bytes of an encoded hold cancel: kind(1) + ring_id(10) +
+/// pid(2).
+pub const HOLD_CANCEL_LEN: usize = 1 + RING_ID_LEN + 2;
 
 /// Encodes a message into a reusable scratch buffer.
 ///
@@ -269,6 +285,11 @@ pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
                 buf.put_u64(m.safe_seq.as_u64());
                 buf.put_u8(u8::from(m.filled));
             }
+        }
+        Message::HoldCancel { ring_id, pid } => {
+            buf.put_u8(Kind::HoldCancel as u8);
+            put_ring_id(buf, *ring_id);
+            buf.put_u16(pid.as_u16());
         }
     }
 }
@@ -416,6 +437,11 @@ pub fn decode_from(buf: &mut &[u8]) -> Result<Message, WireError> {
                 });
             }
             Ok(Message::Commit(CommitToken { ring_id, memb, hop }))
+        }
+        k if k == Kind::HoldCancel as u8 => {
+            let ring_id = take_ring_id(buf)?;
+            let pid = ParticipantId::new(take_u16(buf)?);
+            Ok(Message::HoldCancel { ring_id, pid })
         }
         other => Err(WireError::UnknownKind(other)),
     }
@@ -581,6 +607,19 @@ mod tests {
         let enc = encode(&m);
         assert_eq!(enc.len(), encoded_len(&m));
         assert_eq!(decode(&enc).unwrap(), m);
+    }
+
+    #[test]
+    fn hold_cancel_roundtrip_is_13_bytes() {
+        let m = Message::HoldCancel {
+            ring_id: ring(),
+            pid: ParticipantId::new(2),
+        };
+        let enc = encode(&m);
+        assert_eq!(enc.len(), 13);
+        assert_eq!(enc.len(), encoded_len(&m));
+        assert_eq!(decode(&enc).unwrap(), m);
+        assert_eq!(m.kind_name(), "hold_cancel");
     }
 
     #[test]

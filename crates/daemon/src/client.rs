@@ -7,9 +7,9 @@ use std::time::Duration;
 
 use ar_core::ServiceType;
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 
-use crate::daemon::Command;
+use crate::daemon::{Command, CommandTx};
 use crate::proto::{MemberId, MAX_GROUPS, MAX_NAME};
 
 /// Default capacity of a client's event queue. A caller that stops
@@ -105,7 +105,7 @@ impl std::error::Error for ClientError {}
 #[derive(Debug)]
 pub struct DaemonClient {
     pub(crate) me: MemberId,
-    pub(crate) cmd_tx: Sender<Command>,
+    pub(crate) cmd_tx: CommandTx,
     pub(crate) events: Receiver<ClientEvent>,
     /// Events the daemon dropped because this client's bounded queue
     /// was full (shared with the daemon's session entry).
@@ -146,12 +146,10 @@ impl DaemonClient {
     /// [`ClientError::DaemonDown`].
     pub fn join(&self, group: &str) -> Result<(), ClientError> {
         Self::check_group(group)?;
-        self.cmd_tx
-            .send(Command::Join {
-                client: self.me.client.clone(),
-                group: group.to_string(),
-            })
-            .map_err(|_| ClientError::DaemonDown)
+        self.cmd_tx.send(Command::Join {
+            client: self.me.client.clone(),
+            group: group.to_string(),
+        })
     }
 
     /// Leaves a group.
@@ -161,12 +159,10 @@ impl DaemonClient {
     /// As for [`join`](Self::join).
     pub fn leave(&self, group: &str) -> Result<(), ClientError> {
         Self::check_group(group)?;
-        self.cmd_tx
-            .send(Command::Leave {
-                client: self.me.client.clone(),
-                group: group.to_string(),
-            })
-            .map_err(|_| ClientError::DaemonDown)
+        self.cmd_tx.send(Command::Leave {
+            client: self.me.client.clone(),
+            group: group.to_string(),
+        })
     }
 
     /// Multicasts `payload` to every member of every group in `groups`
@@ -211,15 +207,13 @@ impl DaemonClient {
         for g in groups {
             Self::check_group(g)?;
         }
-        self.cmd_tx
-            .send(Command::Multicast {
-                client: self.me.client.clone(),
-                groups: groups.iter().map(|g| g.to_string()).collect(),
-                service,
-                stamp,
-                payload,
-            })
-            .map_err(|_| ClientError::DaemonDown)
+        self.cmd_tx.send(Command::Multicast {
+            client: self.me.client.clone(),
+            groups: groups.iter().map(|g| g.to_string()).collect(),
+            service,
+            stamp,
+            payload,
+        })
     }
 
     /// Receives the next event, waiting up to `timeout`.

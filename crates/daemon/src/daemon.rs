@@ -21,7 +21,7 @@ use ar_telemetry::Counter;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-use ar_net::{AppEvent, Runtime, Transport, Waker};
+use ar_net::{AppEvent, Runtime, Transport, WakeReceiver, Waker};
 
 use crate::client::{ClientError, ClientEvent, DaemonClient};
 use crate::group::GroupTable;
@@ -68,6 +68,25 @@ pub(crate) enum Command {
     },
 }
 
+/// The command channel into a daemon loop. Every send is followed by a
+/// wake of the loop's transport wait, so a ring thread blocked there
+/// (an idle ring's token is held, see [`ar_net::hold`]) picks the
+/// command up at once, not at its next token or timer.
+#[derive(Debug, Clone)]
+pub(crate) struct CommandTx {
+    tx: Sender<Command>,
+    waker: Waker,
+}
+
+impl CommandTx {
+    /// Queues `cmd` and wakes the loop.
+    pub(crate) fn send(&self, cmd: Command) -> Result<(), ClientError> {
+        self.tx.send(cmd).map_err(|_| ClientError::DaemonDown)?;
+        self.waker.wake();
+        Ok(())
+    }
+}
+
 /// Live backpressure signals shared between the daemon loop and the
 /// client service tier (`ar-svc`).
 ///
@@ -100,7 +119,7 @@ impl RingPressure {
 #[derive(Debug)]
 pub struct DaemonHandle {
     pid: ParticipantId,
-    cmd_tx: Sender<Command>,
+    cmd_tx: CommandTx,
     shutdown_tx: Sender<()>,
     pressure: Arc<RingPressure>,
     join: Option<JoinHandle<io::Result<()>>>,
@@ -203,16 +222,28 @@ pub fn spawn_daemon_with<T: Transport + Send + 'static>(
     config: DaemonConfig,
 ) -> DaemonHandle {
     let pid = part.pid();
-    let (cmd_tx, cmd_rx) = unbounded::<Command>();
+    let (tx, cmd_rx) = unbounded::<Command>();
+    // Like the thread spawn below, this fails only when the process is
+    // out of descriptors.
+    let (waker, wake) = ar_net::wake_pair().expect("daemon wake socket pair");
     let (shutdown_tx, shutdown_rx) = bounded::<()>(1);
     let pressure = Arc::new(RingPressure::default());
     let pressure2 = Arc::clone(&pressure);
     let join = std::thread::spawn(move || {
-        DaemonLoop::new(part, transport, config, cmd_rx, shutdown_rx, pressure2)?.run()
+        DaemonLoop::new(
+            part,
+            transport,
+            config,
+            cmd_rx,
+            shutdown_rx,
+            pressure2,
+            wake,
+        )?
+        .run()
     });
     DaemonHandle {
         pid,
-        cmd_tx,
+        cmd_tx: CommandTx { tx, waker },
         shutdown_tx,
         pressure,
         join: Some(join),
@@ -302,6 +333,7 @@ impl DaemonHandle {
 
     fn shutdown_now(&mut self) -> io::Result<()> {
         let _ = self.shutdown_tx.send(());
+        self.cmd_tx.waker.wake();
         match self.join.take() {
             Some(h) => h
                 .join()
@@ -323,7 +355,7 @@ impl Drop for DaemonHandle {
 #[derive(Debug, Clone)]
 pub struct DaemonConnector {
     pid: ParticipantId,
-    cmd_tx: Sender<Command>,
+    cmd_tx: CommandTx,
 }
 
 impl DaemonConnector {
@@ -380,15 +412,13 @@ impl DaemonConnector {
         let (events_tx, events_rx) = bounded(capacity.max(1));
         let (ack_tx, ack_rx) = bounded(1);
         let drops = Arc::new(AtomicU64::new(0));
-        self.cmd_tx
-            .send(Command::Register {
-                name: name.to_string(),
-                events: events_tx,
-                waker,
-                drops: Arc::clone(&drops),
-                ack: ack_tx,
-            })
-            .map_err(|_| ClientError::DaemonDown)?;
+        self.cmd_tx.send(Command::Register {
+            name: name.to_string(),
+            events: events_tx,
+            waker,
+            drops: Arc::clone(&drops),
+            ack: ack_tx,
+        })?;
         ack_rx
             .recv_timeout(Duration::from_secs(10))
             .map_err(|_| ClientError::DaemonDown)??;
@@ -482,9 +512,14 @@ impl<T: Transport> DaemonLoop<T> {
         cmd_rx: Receiver<Command>,
         shutdown_rx: Receiver<()>,
         pressure: Arc<RingPressure>,
+        wake: WakeReceiver,
     ) -> io::Result<DaemonLoop<T>> {
         let pid = part.pid();
         let mut rt = Runtime::new(part, transport);
+        // Where the transport cannot wait on the wake (loopback, the
+        // portable UDP path) the token never parks, and its rotation
+        // bounds how long a command waits, as before.
+        rt.attach_wake(wake);
         let labels = config
             .shard
             .map(ar_net::NetMetrics::shard_labels)
@@ -579,7 +614,9 @@ impl<T: Transport> DaemonLoop<T> {
                 return self.drain();
             }
             // Drain a burst of commands first so messages submitted
-            // together pack together.
+            // together pack together. Each command's sender woke the
+            // transport wait in `step`, so commands never wait for a
+            // token to end it.
             while let Ok(cmd) = self.cmd_rx.try_recv() {
                 self.handle_command(cmd);
             }

@@ -229,11 +229,15 @@ fn gen_commit(rng: &mut SplitMix64) -> CommitToken {
 
 /// Generates a valid frame of a random kind.
 pub fn gen_message(rng: &mut SplitMix64) -> Message {
-    match rng.below(4) {
+    match rng.below(5) {
         0 => Message::Token(gen_token(rng)),
         1 => Message::Data(gen_data(rng)),
         2 => Message::Join(gen_join(rng)),
-        _ => Message::Commit(gen_commit(rng)),
+        3 => Message::Commit(gen_commit(rng)),
+        _ => Message::HoldCancel {
+            ring_id: gen_ring_id(rng),
+            pid: gen_pid(rng),
+        },
     }
 }
 

@@ -378,6 +378,20 @@ impl SegmentedLog {
         }
     }
 
+    /// For the `IntervalMs` policy, while appended records are not yet
+    /// durable: the caller-clock instant at which
+    /// [`maybe_sync`](Self::maybe_sync) will sync them. `None` when no
+    /// interval sync is owed (other policies, nothing unsynced, or no
+    /// `maybe_sync` call yet to start the clock). A caller that sleeps
+    /// between calls wakes by this instant to honour the interval.
+    pub fn sync_due_at(&self) -> Option<u64> {
+        let FsyncPolicy::IntervalMs(ms) = self.cfg.fsync else {
+            return None;
+        };
+        let last = self.last_sync_nanos?;
+        (self.durable < self.appended).then(|| last.saturating_add(ms.saturating_mul(1_000_000)))
+    }
+
     /// Flushes the user-space buffer to the OS **and** fsyncs, making
     /// every appended record durable.
     ///
@@ -620,17 +634,22 @@ mod tests {
         let cfg = LogConfig::new(&dir).with_fsync(FsyncPolicy::IntervalMs(10));
         let (mut log, _) = SegmentedLog::open(cfg).unwrap();
         log.append(&delivery(1, "x")).unwrap();
+        assert_eq!(log.sync_due_at(), None, "clock not started");
         assert!(
             !log.maybe_sync(0).unwrap(),
             "first call only arms the clock"
         );
+        assert_eq!(log.sync_due_at(), Some(10_000_000));
         assert!(
             !log.maybe_sync(9_999_999).unwrap(),
             "interval not yet elapsed"
         );
         assert!(log.maybe_sync(10_000_000).unwrap(), "interval elapsed");
         assert_eq!(log.durable_lsn(), Lsn(1));
+        assert_eq!(log.sync_due_at(), None, "nothing unsynced");
         assert!(!log.maybe_sync(20_000_000).unwrap(), "nothing new to sync");
+        log.append(&delivery(2, "x")).unwrap();
+        assert_eq!(log.sync_due_at(), Some(20_000_000));
         std::fs::remove_dir_all(log.dir()).unwrap();
     }
 

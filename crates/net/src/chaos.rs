@@ -20,11 +20,11 @@
 //! destination-blind; when the peer set is declared via
 //! [`ChaosTransport::with_peers`], an active outbound block decomposes
 //! multicasts into per-peer unicasts so partitions filter them too.
-//! Inbound blocks filter by the sender carried in the message (data and
-//! join messages); tokens and commit tokens carry no sender, so token
-//! partitions must be expressed as outbound blocks on the sending side
-//! — which is what [`crate::nemesis`] does when translating a
-//! [`ar_core::fault::Connectivity`] matrix.
+//! Inbound blocks filter by the sender carried in the message (data,
+//! join and hold-cancel messages); tokens and commit tokens carry no
+//! sender, so token partitions must be expressed as outbound blocks on
+//! the sending side — which is what [`crate::nemesis`] does when
+//! translating a [`ar_core::fault::Connectivity`] matrix.
 
 use std::collections::HashSet;
 use std::io;
@@ -36,12 +36,14 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::poll::WakeReceiver;
 use crate::transport::Transport;
 
 /// The four wire-message kinds chaos statistics are broken down by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MsgKind {
-    /// Regular ordering tokens.
+    /// Regular ordering tokens (and hold cancels, which share their
+    /// channel).
     Token,
     /// Multicast data messages.
     Data,
@@ -55,7 +57,7 @@ impl MsgKind {
     /// Classifies a wire message.
     pub fn of(msg: &Message) -> MsgKind {
         match msg {
-            Message::Token(_) => MsgKind::Token,
+            Message::Token(_) | Message::HoldCancel { .. } => MsgKind::Token,
             Message::Data(_) => MsgKind::Data,
             Message::Join(_) => MsgKind::Join,
             Message::Commit(_) => MsgKind::Commit,
@@ -456,6 +458,7 @@ impl<T: Transport> ChaosTransport<T> {
         let sender = match msg {
             Message::Data(d) => Some(d.pid),
             Message::Join(j) => Some(j.sender),
+            Message::HoldCancel { pid, .. } => Some(*pid),
             Message::Token(_) | Message::Commit(_) => None,
         };
         {
@@ -555,6 +558,10 @@ impl<T: Transport> Transport for ChaosTransport<T> {
 
     fn end_batch(&mut self) -> io::Result<()> {
         self.inner.end_batch()
+    }
+
+    fn attach_wake(&mut self, wake: WakeReceiver) -> bool {
+        self.inner.attach_wake(wake)
     }
 }
 

@@ -13,7 +13,7 @@
 //!   hub for concurrent tests and examples;
 //! * [`Runtime`] — the single-threaded daemon main loop: receive with
 //!   the protocol's current priority preference, handle, execute
-//!   actions, fire timers;
+//!   actions, fire timers, and park an idle token ([`hold`]);
 //! * [`spawn`] / [`NodeHandle`] — one-thread-per-participant wrapper
 //!   with channel-based submit/deliver.
 //!
@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod hold;
 pub mod loopback;
 pub mod metrics;
 pub mod nemesis;
@@ -54,6 +55,7 @@ pub mod transport;
 pub mod udp;
 
 pub use chaos::{ChaosConfig, ChaosControl, ChaosStats, ChaosTransport, KindStats, MsgKind};
+pub use hold::{IdleHold, Release};
 pub use loopback::{LoopbackNet, LoopbackTransport};
 pub use metrics::NetMetrics;
 pub use nemesis::{NemesisOutcome, NemesisPlan, NemesisRunner};

@@ -11,15 +11,24 @@
 
 use ar_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
+use crate::hold::Release;
+
 /// Metric handles updated by an instrumented [`Runtime`](crate::Runtime).
 #[derive(Debug, Clone)]
 pub struct NetMetrics {
     /// Full token rotation time as observed locally: nanoseconds
-    /// between consecutive token receipts.
+    /// between consecutive token receipts. Includes the time the token
+    /// spent held idle at the representative.
     pub token_rotation_ns: Histogram,
-    /// Local token hop time: nanoseconds from receiving the token to
-    /// finishing the resulting sends.
+    /// Local token hop time: nanoseconds from handing the token to the
+    /// participant to finishing the resulting sends (a held token's
+    /// hold is not part of its hop).
     pub token_hop_ns: Histogram,
+    /// Idle tokens held and released, by release cause (indexed by
+    /// [`Release::index`]).
+    pub token_holds: [Counter; 4],
+    /// How long each idle token was held, in nanoseconds.
+    pub token_hold_ns: Histogram,
     /// Submission-to-delivery latency for messages this node initiated,
     /// in nanoseconds.
     pub delivery_latency_ns: Histogram,
@@ -73,7 +82,25 @@ impl NetMetrics {
             token_hop_ns: reg.histogram_labeled(
                 "ar_node_token_hop_ns",
                 labels,
-                "Local token processing time, receipt to sends complete (ns)",
+                "Local token processing time, hand-off to sends complete (ns)",
+            ),
+            token_holds: Release::ALL.map(|why| {
+                let release = format!("release=\"{}\"", why.label());
+                let labels = if labels.is_empty() {
+                    release
+                } else {
+                    format!("{labels},{release}")
+                };
+                reg.counter_labeled(
+                    "ar_node_token_holds_total",
+                    &labels,
+                    "Idle tokens held at the representative, by release cause",
+                )
+            }),
+            token_hold_ns: reg.histogram_labeled(
+                "ar_node_token_hold_ns",
+                labels,
+                "Time an idle token was held at the representative (ns)",
             ),
             delivery_latency_ns: reg.histogram_labeled(
                 "ar_node_delivery_latency_ns",
@@ -145,6 +172,8 @@ impl NetMetrics {
         NetMetrics {
             token_rotation_ns: Histogram::default(),
             token_hop_ns: Histogram::default(),
+            token_holds: Default::default(),
+            token_hold_ns: Histogram::default(),
             delivery_latency_ns: Histogram::default(),
             queue_depth: Gauge::default(),
             tokens_rx: Counter::default(),
@@ -174,9 +203,18 @@ mod tests {
         s1.tokens_rx.add(9);
         assert_eq!(s0.tokens_rx.get(), 2);
         assert_eq!(s1.tokens_rx.get(), 9);
+        s1.token_holds[Release::Deadline.index()].inc();
         let text = reg.render_prometheus();
         assert!(
             text.contains("ar_node_tokens_rx_total{shard=\"0\"} 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("ar_node_token_holds_total{shard=\"1\",release=\"deadline\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("ar_node_token_holds_total{shard=\"0\",release=\"submit\"} 0"),
             "{text}"
         );
         assert!(
@@ -195,5 +233,7 @@ mod tests {
         let text = reg.render_prometheus();
         assert!(text.contains("ar_node_tokens_rx_total 1"));
         assert!(text.contains("# TYPE ar_node_token_rotation_ns summary"));
+        assert!(text.contains("ar_node_token_holds_total{release=\"cancel\"} 0"));
+        assert!(text.contains("# TYPE ar_node_token_hold_ns summary"));
     }
 }

@@ -7,13 +7,15 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use ar_core::{
-    Action, AdaptiveTimeouts, ConfigChange, ConfigChangeKind, Delivery, Message, Participant,
-    PriorityMode, RingId, Seq, ServiceType, TimerKind,
+    Action, AdaptiveTimeouts, ConfigChange, ConfigChangeKind, Delivery, Message, Mode, Participant,
+    PriorityMode, RingId, Seq, ServiceType, TimerKind, Token,
 };
 use ar_log::{DeliveryRecord, LogRecord, Lsn, SegmentedLog};
 use bytes::Bytes;
 
+use crate::hold::{IdleHold, Local, Release};
 use crate::metrics::NetMetrics;
+use crate::poll::WakeReceiver;
 use crate::transport::Transport;
 
 /// Events surfaced to the embedding application.
@@ -104,6 +106,14 @@ pub struct Runtime<T: Transport> {
     /// Shared copy of the participant's observer, for runtime-level
     /// events (durable-log recovery) that the core does not see.
     observer: Option<std::sync::Arc<dyn ar_core::Observer>>,
+    /// The transport accepted a wake ([`attach_wake`]), so a command
+    /// from another thread never waits for a token to arrive.
+    ///
+    /// [`attach_wake`]: Runtime::attach_wake
+    wake_attached: bool,
+    /// The idle-token hold: the decision and the parked token (see
+    /// [`crate::hold`]).
+    hold: IdleHold,
 }
 
 impl<T: Transport + std::fmt::Debug> std::fmt::Debug for Runtime<T> {
@@ -153,7 +163,27 @@ impl<T: Transport> Runtime<T> {
             inbound: Vec::with_capacity(RECV_BATCH_MAX),
             durable: None,
             observer: None,
+            wake_attached: false,
+            hold: IdleHold::default(),
         }
+    }
+
+    /// Hands the transport the consumer half of a [`wake_pair`]
+    /// ([`Transport::attach_wake`]), so the producer's wake ends a
+    /// blocked [`step`](Runtime::step) at once. Returns whether the
+    /// transport accepted it. Only then, and with adaptive timeouts
+    /// off, does the runtime hold an idle token (see [`crate::hold`]):
+    /// its caller must then wake it after every command it queues.
+    ///
+    /// [`wake_pair`]: crate::wake_pair
+    pub fn attach_wake(&mut self, wake: WakeReceiver) -> bool {
+        self.wake_attached = self.transport.attach_wake(wake);
+        self.reset_hold();
+        self.wake_attached
+    }
+
+    fn reset_hold(&mut self) {
+        self.hold = IdleHold::new(self.wake_attached && self.adaptive.is_none());
     }
 
     /// Attaches a durable log: every delivery is appended at ordering
@@ -323,6 +353,9 @@ impl<T: Transport> Runtime<T> {
     /// observable via `ProtoEvent::TimeoutsAdapted`).
     pub fn enable_adaptive_timeouts(&mut self, ctl: AdaptiveTimeouts) {
         self.adaptive = Some(ctl);
+        // A held rotation is not a network sample: no holds while the
+        // controller learns from rotations.
+        self.reset_hold();
     }
 
     /// The adaptive controller, when enabled.
@@ -342,7 +375,17 @@ impl<T: Transport> Runtime<T> {
     /// Nanoseconds since this runtime was created; the timestamp domain
     /// used for the participant's observer events.
     pub fn elapsed_nanos(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        self.nanos_at(Instant::now())
+    }
+
+    /// `at` in the [`elapsed_nanos`](Runtime::elapsed_nanos) domain.
+    fn nanos_at(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// The instant `nanos` after creation.
+    fn instant_at(&self, nanos: u64) -> Instant {
+        self.epoch + Duration::from_nanos(nanos)
     }
 
     /// Injects the current wall-clock offset into the participant's
@@ -397,11 +440,35 @@ impl<T: Transport> Runtime<T> {
         service: ServiceType,
     ) -> Result<(), ar_core::QueueFull> {
         self.sync_observer_clock();
+        let local = self.local();
         self.part.submit(payload, service)?;
         if self.metrics.is_some() {
             self.submit_times.push_back(Instant::now());
         }
+        if self.hold.on_submit(&local) {
+            // A lost cancel costs at most one hold deadline.
+            let cancel = Message::HoldCancel {
+                ring_id: local.ring,
+                pid: self.part.pid(),
+            };
+            let _ = self
+                .transport
+                .send_to(self.part.ring().representative(), &cancel);
+        }
         Ok(())
+    }
+
+    /// The participant as the idle-token hold sees it.
+    fn local(&self) -> Local {
+        let ring = self.part.ring();
+        Local {
+            ring: ring.id(),
+            representative: ring.representative() == self.part.pid(),
+            operational: self.part.mode() == Mode::Operational,
+            pending: self.part.pending_len(),
+            next_timer: self.next_participant_timer().map(|t| self.nanos_at(t)),
+            token_retransmit: self.part.timeouts().token_retransmit,
+        }
     }
 
     /// Runs one iteration: waits (briefly) for a message, handles it
@@ -414,12 +481,27 @@ impl<T: Transport> Runtime<T> {
         self.step_with_wait(MAX_POLL)
     }
 
-    /// The earliest pending timer deadline, if any. A driver hosting
+    /// The earliest instant at which [`step_with_wait`] has work
+    /// without any input: a participant timer, a held token's release,
+    /// or an interval fsync owed by the durable log. A driver hosting
     /// several runtimes on one poll loop uses this to budget each
     /// instance's [`step_with_wait`] so no ring's timer fires late.
     ///
     /// [`step_with_wait`]: Runtime::step_with_wait
     pub fn next_timer_deadline(&self) -> Option<Instant> {
+        let hold = self.hold.deadline().map(|n| self.instant_at(n));
+        let sync = self
+            .durable
+            .as_ref()
+            .and_then(|d| d.log.sync_due_at())
+            .map(|n| self.instant_at(n));
+        [self.next_participant_timer(), hold, sync]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    fn next_participant_timer(&self) -> Option<Instant> {
         self.timers.iter().flatten().min().copied()
     }
 
@@ -434,9 +516,10 @@ impl<T: Transport> Runtime<T> {
     ///
     /// Returns an I/O error from the transport.
     pub fn step_with_wait(&mut self, max_wait: Duration) -> io::Result<Vec<AppEvent>> {
+        // A local submit since the last step asked for the held token.
+        self.release_if_due()?;
         let now = Instant::now();
-        let next_deadline = self.timers.iter().flatten().min().copied();
-        let wait = match next_deadline {
+        let wait = match self.next_timer_deadline() {
             Some(d) if d <= now => Duration::ZERO,
             Some(d) => (d - now).min(max_wait),
             None => max_wait,
@@ -463,6 +546,7 @@ impl<T: Transport> Runtime<T> {
         batch.clear();
         self.inbound = batch;
         result?;
+        self.release_if_due()?;
         // Fire expired timers.
         let now = Instant::now();
         for kind in KINDS {
@@ -517,45 +601,93 @@ impl<T: Transport> Runtime<T> {
         Ok(std::mem::take(&mut self.events))
     }
 
-    /// Handles one received message: backoff reset, per-token rotation
-    /// and hop metrics, protocol handling, action execution.
+    /// Handles one received message: the idle-token hold first (a
+    /// cancel is consumed here; anything else releases a held token
+    /// ahead of itself), then backoff reset, per-token rotation
+    /// metrics, and protocol handling.
     fn handle_incoming(&mut self, msg: Message) -> io::Result<()> {
+        if let Message::HoldCancel { ring_id, .. } = msg {
+            if ring_id == self.part.ring().id() && self.hold.on_cancel() {
+                self.release_token(Release::Cancel)?;
+            }
+            return Ok(());
+        }
+        if self.hold.is_holding() {
+            self.release_token(Release::Message)?;
+        }
         if matches!(msg, Message::Token(_) | Message::Commit(_)) {
             self.retransmit_backoff.reset();
         }
-        let is_token = matches!(msg, Message::Token(_));
-        let hop_start = if is_token && (self.metrics.is_some() || self.adaptive.is_some()) {
-            let now = Instant::now();
-            let rotation = self
-                .last_token_at
-                .map(|prev| u64::try_from((now - prev).as_nanos()).unwrap_or(u64::MAX));
-            if let Some(m) = &self.metrics {
-                if let Some(rot) = rotation {
-                    m.token_rotation_ns.record(rot);
-                }
-                m.tokens_rx.inc();
-            }
-            if let (Some(ctl), Some(rot)) = (self.adaptive.as_mut(), rotation) {
-                if ctl.record_rotation(rot) {
-                    // An invalid derived policy cannot happen (the
-                    // controller clamps and orders its outputs), but a
-                    // rejected install must not kill the event loop.
-                    let _ = self.part.adapt_timeouts(ctl.current());
-                }
-            }
-            self.last_token_at = Some(now);
-            Some(now)
-        } else {
-            None
+        let Message::Token(tok) = msg else {
+            self.sync_observer_clock();
+            let actions = self.part.handle_message(msg);
+            return self.execute(actions);
         };
+        self.note_token_arrival();
+        let local = self.local();
+        match self.hold.on_token(self.elapsed_nanos(), tok, &local) {
+            Some(tok) => self.hand_token(tok),
+            None => Ok(()),
+        }
+    }
+
+    /// Per-token rotation metrics and the adaptive controller's sample,
+    /// taken when a token arrives (so a rotation includes any hold).
+    fn note_token_arrival(&mut self) {
+        if self.metrics.is_none() && self.adaptive.is_none() {
+            return;
+        }
+        let now = Instant::now();
+        let rotation = self
+            .last_token_at
+            .map(|prev| u64::try_from((now - prev).as_nanos()).unwrap_or(u64::MAX));
+        if let Some(m) = &self.metrics {
+            if let Some(rot) = rotation {
+                m.token_rotation_ns.record(rot);
+            }
+            m.tokens_rx.inc();
+        }
+        if let (Some(ctl), Some(rot)) = (self.adaptive.as_mut(), rotation) {
+            if ctl.record_rotation(rot) {
+                // An invalid derived policy cannot happen (the
+                // controller clamps and orders its outputs), but a
+                // rejected install must not kill the event loop.
+                let _ = self.part.adapt_timeouts(ctl.current());
+            }
+        }
+        self.last_token_at = Some(now);
+    }
+
+    /// Gives a token to the participant and runs the round it starts.
+    fn hand_token(&mut self, tok: Token) -> io::Result<()> {
+        let start = self.metrics.is_some().then(Instant::now);
         self.sync_observer_clock();
-        let actions = self.part.handle_message(msg);
+        let actions = self.part.handle_message(Message::Token(tok));
         self.execute(actions)?;
-        if let (Some(start), Some(m)) = (hop_start, &self.metrics) {
+        if let (Some(start), Some(m)) = (start, &self.metrics) {
             m.token_hop_ns
                 .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         Ok(())
+    }
+
+    /// Hands the held token over when a submit or the deadline says so.
+    fn release_if_due(&mut self) -> io::Result<()> {
+        match self.hold.due(self.elapsed_nanos()) {
+            Some(why) => self.release_token(why),
+            None => Ok(()),
+        }
+    }
+
+    fn release_token(&mut self, why: Release) -> io::Result<()> {
+        let Some((tok, held_ns)) = self.hold.release(self.elapsed_nanos()) else {
+            return Ok(());
+        };
+        if let Some(m) = &self.metrics {
+            m.token_holds[why.index()].inc();
+            m.token_hold_ns.record(held_ns);
+        }
+        self.hand_token(tok)
     }
 
     fn execute(&mut self, actions: Vec<Action>) -> io::Result<()> {
@@ -1026,6 +1158,194 @@ mod tests {
             "cursor covers everything surfaced"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An interval fsync is owed even when nothing arrives: an idle
+    /// runtime's wait ends at the log's next sync instant instead of
+    /// sleeping out `MAX_POLL`.
+    #[test]
+    fn idle_runtime_honours_the_fsync_interval() {
+        use ar_log::{FsyncPolicy, LogConfig};
+
+        let dir = std::env::temp_dir().join(format!(
+            "ar-net-interval-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Only the representative steps: its peer never answers, so
+        // nothing arrives and only timers end its waits.
+        let mut ring = build_ring(2);
+        let rt = &mut ring[0];
+        let (log, _) =
+            SegmentedLog::open(LogConfig::new(&dir).with_fsync(FsyncPolicy::IntervalMs(1)))
+                .unwrap();
+        rt.attach_durable_log(log, false);
+        rt.submit(Bytes::from_static(b"idle"), ServiceType::Agreed)
+            .unwrap();
+        rt.start().unwrap();
+        // The first step starts the log's interval clock.
+        rt.step().unwrap();
+        let log = rt.durable_log().unwrap();
+        assert_eq!(log.unsynced_records(), 1, "the delivery is appended");
+        let start = Instant::now();
+        rt.step().unwrap();
+        let took = start.elapsed();
+        assert_eq!(rt.durable_log().unwrap().unsynced_records(), 0);
+        assert!(
+            took < Duration::from_millis(4),
+            "an interval of 1 ms was honoured after {took:?}"
+        );
+        drop(ring);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A wake from another thread ends a UDP runtime's blocked
+    /// transport wait at once, not after its poll budget.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn wake_ends_a_blocked_udp_step_within_a_millisecond() {
+        use crate::udp::{DatapathMode, PeerMap, UdpTransport};
+
+        let members = pids(2);
+        let ring_id = RingId::new(members[0], 1);
+        let transport = (0..50u16)
+            .find_map(|attempt| {
+                let map = PeerMap::localhost(2, 47_700 + attempt * 8);
+                UdpTransport::bind_with_mode(members[1], map, DatapathMode::Batched).ok()
+            })
+            .expect("free UDP ports");
+        let part = Participant::new(
+            members[1],
+            ProtocolConfig::accelerated(),
+            ring_id,
+            members.clone(),
+        )
+        .unwrap();
+        // Never started: no timers, so only input ends a wait.
+        let mut rt = Runtime::new(part, transport);
+        let (waker, wake) = crate::wake_pair().unwrap();
+        assert!(rt.attach_wake(wake), "batched UDP accepts the wake");
+        let mut best = Duration::MAX;
+        for _ in 0..3 {
+            let waker = waker.clone();
+            let sender = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                let at = Instant::now();
+                waker.wake();
+                at
+            });
+            rt.step_with_wait(Duration::from_secs(2)).unwrap();
+            let returned = Instant::now();
+            let sent = sender.join().unwrap();
+            best = best.min(returned.saturating_duration_since(sent));
+        }
+        assert!(
+            best < Duration::from_millis(1),
+            "woken step returned {best:?} after the wake"
+        );
+    }
+
+    /// Three batched-UDP runtimes stepped one at a time, so every hop
+    /// is in a known order: the representative parks the token on its
+    /// third idle arrival, releases it at the deadline, and a cancel
+    /// that beats the token there keeps the next arrival moving.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn udp_representative_parks_the_idle_token_and_obeys_an_early_cancel() {
+        use crate::udp::{DatapathMode, PeerMap, UdpTransport};
+
+        let members = pids(3);
+        let ring_id = RingId::new(members[0], 1);
+        let transports = (0..50u16)
+            .find_map(|attempt| {
+                let map = PeerMap::localhost(3, 47_900 + attempt * 8);
+                members
+                    .iter()
+                    .map(|&p| UdpTransport::bind_with_mode(p, map.clone(), DatapathMode::Batched))
+                    .collect::<io::Result<Vec<_>>>()
+                    .ok()
+            })
+            .expect("free UDP ports");
+        // Slow timers: a descheduled test thread must not retransmit.
+        let timeouts = ar_core::TimeoutConfig {
+            token_retransmit: 200_000_000,
+            token_loss: 2_000_000_000,
+            ..ar_core::TimeoutConfig::default()
+        };
+        let mut wakers = Vec::new();
+        let mut ring: Vec<_> = members
+            .iter()
+            .zip(transports)
+            .map(|(&p, t)| {
+                let mut part =
+                    Participant::new(p, ProtocolConfig::accelerated(), ring_id, members.clone())
+                        .unwrap();
+                part.set_timeouts(timeouts).unwrap();
+                let mut rt = Runtime::new(part, t);
+                let (waker, wake) = crate::wake_pair().unwrap();
+                assert!(rt.attach_wake(wake));
+                wakers.push(waker);
+                rt.set_metrics(NetMetrics::detached());
+                rt
+            })
+            .collect();
+        let step = |rt: &mut Runtime<UdpTransport>| {
+            rt.step_with_wait(Duration::from_millis(50)).unwrap();
+        };
+        let holds = |rt: &Runtime<UdpTransport>, why: Release| {
+            rt.metrics().unwrap().token_holds[why.index()].get()
+        };
+        ring[0].start().unwrap();
+        for arrival in 1..=3 {
+            step(&mut ring[1]);
+            step(&mut ring[2]);
+            step(&mut ring[0]);
+            assert_eq!(
+                ring[0].hold.is_holding(),
+                arrival == 3,
+                "arrival {arrival}: held only after two idle rotations"
+            );
+        }
+        // Nothing to send: the hold runs out at token_retransmit / 2.
+        let parked = Instant::now();
+        while ring[0].hold.is_holding() {
+            step(&mut ring[0]);
+        }
+        assert!(parked.elapsed() >= Duration::from_millis(90));
+        assert_eq!(holds(&ring[0], Release::Deadline), 1);
+        // The token passes member 1, which then has something to send:
+        // its cancel reaches the representative before the token does.
+        step(&mut ring[1]);
+        ring[1]
+            .submit(Bytes::from_static(b"late"), ServiceType::Agreed)
+            .unwrap();
+        step(&mut ring[0]);
+        assert!(!ring[0].hold.is_holding(), "the cancel arrived alone");
+        step(&mut ring[2]);
+        step(&mut ring[0]);
+        assert!(
+            !ring[0].hold.is_holding(),
+            "an early cancel keeps the next idle token moving"
+        );
+        step(&mut ring[1]);
+        assert_eq!(ring[1].participant().stats().messages_initiated, 1);
+        assert_eq!(holds(&ring[0], Release::Cancel), 0);
+        drop(wakers);
+    }
+
+    #[test]
+    fn transports_that_cannot_wait_on_a_wake_never_hold() {
+        let mut ring = build_ring(2);
+        let (_waker, wake) = crate::wake_pair().unwrap();
+        assert!(!ring[0].attach_wake(wake), "loopback declines the wake");
+        let mut idle = Token::initial(ring[0].part.ring().id(), Seq::ZERO);
+        let local = ring[0].local();
+        for round in 1..=3 {
+            idle.round = ar_core::Round::new(round);
+            let handed = ring[0].hold.on_token(0, idle.clone(), &local);
+            assert!(handed.is_some(), "round {round}");
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@ use std::time::Duration;
 
 use ar_core::{Message, ParticipantId};
 
+use crate::poll::WakeReceiver;
+
 /// A bidirectional transport for one protocol participant.
 ///
 /// Implementations maintain **two logical channels** — one for token
@@ -93,14 +95,30 @@ pub trait Transport {
     fn end_batch(&mut self) -> io::Result<()> {
         Ok(())
     }
+
+    /// Hands the transport the consumer half of a [`wake_pair`], so a
+    /// [`Waker::wake`] from another thread ends a blocked
+    /// [`recv_batch`](Self::recv_batch) early (it then returns 0).
+    /// Returns false when the transport cannot wait on it; the default
+    /// declines, and the caller must then not rely on being woken.
+    ///
+    /// [`wake_pair`]: crate::wake_pair
+    /// [`Waker::wake`]: crate::Waker::wake
+    fn attach_wake(&mut self, wake: WakeReceiver) -> bool {
+        let _ = wake;
+        false
+    }
 }
 
 /// Routes a message kind to the channel it travels on.
 ///
-/// Token and commit-token messages use the token channel; data and join
-/// messages use the data channel.
+/// Token, commit-token and hold-cancel messages use the token channel;
+/// data and join messages use the data channel.
 pub fn is_token_channel(msg: &Message) -> bool {
-    matches!(msg, Message::Token(_) | Message::Commit(_))
+    matches!(
+        msg,
+        Message::Token(_) | Message::Commit(_) | Message::HoldCancel { .. }
+    )
 }
 
 #[cfg(test)]
@@ -119,6 +137,10 @@ mod tests {
             ring,
             &[ParticipantId::new(0)]
         ))));
+        assert!(is_token_channel(&Message::HoldCancel {
+            ring_id: ring,
+            pid: ParticipantId::new(1),
+        }));
         assert!(!is_token_channel(&Message::Join(JoinMessage {
             sender: ParticipantId::new(0),
             proc_set: vec![],

@@ -30,6 +30,8 @@
 //!   sleep loop, no artificial token-hop latency) and drains ready
 //!   datagrams with `recvmmsg(2)` into two inbound queues (token
 //!   channel, data channel), honoring the priority preference on pop.
+//!   An attached wake ([`Transport::attach_wake`]) is polled beside the
+//!   sockets, so another thread's command ends the wait at once.
 //!
 //! [`DatapathMode::Portable`] is the fallback for non-Linux platforms
 //! (and for A/B benchmarking via `AR_UDP_PORTABLE=1`): a loop of
@@ -47,6 +49,7 @@ use ar_core::{Message, ParticipantId};
 use bytes::BytesMut;
 
 use crate::metrics::NetMetrics;
+use crate::poll::WakeReceiver;
 use crate::transport::{is_token_channel, Transport};
 
 /// Address book for a UDP deployment: each participant's token and
@@ -247,6 +250,9 @@ pub struct UdpTransport {
     /// Wire-decode drop counter mirrored into [`NetMetrics`], when
     /// instrumented.
     decode_drop_metric: Option<ar_telemetry::Counter>,
+    /// Polled beside the two sockets in batched mode, so another thread
+    /// can end a blocked receive ([`Transport::attach_wake`]).
+    wake: Option<WakeReceiver>,
 }
 
 impl UdpTransport {
@@ -308,6 +314,7 @@ impl UdpTransport {
             batching: false,
             stats: UdpStats::default(),
             decode_drop_metric: None,
+            wake: None,
         })
     }
 
@@ -634,27 +641,33 @@ impl UdpTransport {
         Ok(())
     }
 
-    /// Blocks until a socket is readable or `timeout` elapses.
-    fn wait_readable(&mut self, timeout: Duration) -> io::Result<()> {
+    /// Blocks until a socket is readable, the attached wake fires, or
+    /// `timeout` elapses. Returns true when the wake fired; it is
+    /// drained only here, after a wait that blocked, so a busy loop that
+    /// never waits leaves it armed and its wakers pay one atomic swap.
+    fn wait_readable(&mut self, timeout: Duration) -> io::Result<bool> {
         match self.mode {
             #[cfg(target_os = "linux")]
             DatapathMode::Batched => {
                 use crate::sys;
                 use std::os::fd::AsRawFd;
+                let pollfd = |fd| sys::PollFd {
+                    fd,
+                    events: sys::POLLIN,
+                    revents: 0,
+                };
+                // ppoll(2) skips a negative descriptor: no wake attached.
                 let mut fds = [
-                    sys::PollFd {
-                        fd: self.token_sock.as_raw_fd(),
-                        events: sys::POLLIN,
-                        revents: 0,
-                    },
-                    sys::PollFd {
-                        fd: self.data_sock.as_raw_fd(),
-                        events: sys::POLLIN,
-                        revents: 0,
-                    },
+                    pollfd(self.token_sock.as_raw_fd()),
+                    pollfd(self.data_sock.as_raw_fd()),
+                    pollfd(self.wake.as_ref().map_or(-1, WakeReceiver::fd)),
                 ];
                 sys::poll_readable(&mut fds, timeout)?;
-                Ok(())
+                let Some(wake) = self.wake.as_ref().filter(|_| fds[2].revents != 0) else {
+                    return Ok(false);
+                };
+                wake.drain();
+                Ok(true)
             }
             #[cfg(not(target_os = "linux"))]
             DatapathMode::Batched => unreachable!("batched mode is Linux-only"),
@@ -662,7 +675,7 @@ impl UdpTransport {
                 // Brief sleep instead of poll(2): the dependency-free
                 // fallback for platforms without the FFI shim.
                 std::thread::sleep(timeout.min(PORTABLE_POLL));
-                Ok(())
+                Ok(false)
             }
         }
     }
@@ -713,16 +726,17 @@ impl Transport for UdpTransport {
             return Ok(Some(m));
         }
         let deadline = Instant::now() + timeout;
+        let mut woken = false;
         loop {
             self.sweep_sockets(prefer_token)?;
             if let Some(m) = self.pop_inbound(prefer_token) {
                 return Ok(Some(m));
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if woken || remaining.is_zero() {
                 return Ok(None);
             }
-            self.wait_readable(remaining)?;
+            woken = self.wait_readable(remaining)?;
         }
     }
 
@@ -738,16 +752,17 @@ impl Transport for UdpTransport {
         }
         self.flush_pending()?;
         let deadline = Instant::now() + timeout;
+        let mut woken = false;
         loop {
             self.sweep_sockets(prefer_token)?;
             if !self.inbound_is_empty() {
                 break;
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if woken || remaining.is_zero() {
                 return Ok(0);
             }
-            self.wait_readable(remaining)?;
+            woken = self.wait_readable(remaining)?;
         }
         let mut n = 0;
         while n < max {
@@ -769,6 +784,16 @@ impl Transport for UdpTransport {
     fn end_batch(&mut self) -> io::Result<()> {
         self.batching = false;
         self.flush_pending()
+    }
+
+    /// Accepted in [`DatapathMode::Batched`] only: the portable path
+    /// sleep-polls and has no descriptor wait to add the wake to.
+    fn attach_wake(&mut self, wake: WakeReceiver) -> bool {
+        if self.mode != DatapathMode::Batched {
+            return false;
+        }
+        self.wake = Some(wake);
+        true
     }
 }
 

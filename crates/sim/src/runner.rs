@@ -497,8 +497,10 @@ impl RingSim {
         if self.conn.is_crashed(host) {
             return;
         }
+        // The simulator hosts no runtime, so no hold cancel is ever
+        // sent; one would ride the token socket.
         let (cap, q_bytes) = match frame.msg {
-            Message::Token(_) | Message::Commit(_) => (
+            Message::Token(_) | Message::Commit(_) | Message::HoldCancel { .. } => (
                 self.cfg.net.token_socket_buffer,
                 self.hosts[host].token_q_bytes,
             ),
@@ -514,7 +516,7 @@ impl RingSim {
         let h = &mut self.hosts[host];
         let bytes = frame.wire_bytes;
         match frame.msg {
-            Message::Token(_) | Message::Commit(_) => {
+            Message::Token(_) | Message::Commit(_) | Message::HoldCancel { .. } => {
                 h.token_q.push_back(frame);
                 h.token_q_bytes += bytes;
             }
@@ -547,9 +549,10 @@ impl RingSim {
         };
         let proc_cost = match &frame.msg {
             Message::Data(d) => self.cfg.profile.proc_data(d.payload.len()),
-            Message::Token(_) | Message::Commit(_) | Message::Join(_) => {
-                self.cfg.profile.proc_token
-            }
+            Message::Token(_)
+            | Message::Commit(_)
+            | Message::Join(_)
+            | Message::HoldCancel { .. } => self.cfg.profile.proc_token,
         };
         let mut cursor = t + proc_cost;
         let actions = self.hosts[host].part.handle_message(frame.msg);

@@ -3,14 +3,25 @@
 //! ordered messages — the full stack the paper ships (protocol +
 //! daemon architecture + dual-socket UDP transport).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use accelerated_ring::core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType};
-use accelerated_ring::daemon::{spawn_daemon, ClientEvent, DaemonHandle};
-use accelerated_ring::net::{PeerMap, UdpTransport};
+use accelerated_ring::daemon::{
+    spawn_daemon_with, ClientEvent, DaemonClient, DaemonConfig, DaemonHandle, TelemetryHub,
+};
+use accelerated_ring::net::{DatapathMode, PeerMap, Release, UdpTransport};
 use bytes::Bytes;
 
 fn udp_daemons(n: u16, base_port: u16) -> Option<Vec<DaemonHandle>> {
+    udp_daemons_with(n, base_port, |_| DaemonConfig::default())
+}
+
+fn udp_daemons_with(
+    n: u16,
+    base_port: u16,
+    config: impl Fn(usize) -> DaemonConfig,
+) -> Option<Vec<DaemonHandle>> {
     // Probe for a free port range (tests may run concurrently).
     for attempt in 0..20u16 {
         let base = base_port + attempt * 64;
@@ -34,11 +45,12 @@ fn udp_daemons(n: u16, base_port: u16) -> Option<Vec<DaemonHandle>> {
         let daemons = members
             .iter()
             .zip(transports)
-            .map(|(&p, t)| {
+            .enumerate()
+            .map(|(i, (&p, t))| {
                 let part =
                     Participant::new(p, ProtocolConfig::accelerated(), ring_id, members.clone())
                         .expect("valid ring");
-                spawn_daemon(part, t)
+                spawn_daemon_with(part, t, config(i))
             })
             .collect();
         return Some(daemons);
@@ -57,21 +69,17 @@ fn wait_for<F: FnMut() -> bool>(mut f: F, secs: u64) -> bool {
     false
 }
 
-#[test]
-fn udp_ring_total_order_across_daemons() {
-    let Some(daemons) = udp_daemons(3, 47100) else {
-        eprintln!("skipping: no free UDP port range");
-        return;
-    };
+/// Connects one client per daemon and waits until every client sees
+/// all of them in `group`.
+fn join_everyone(daemons: &[DaemonHandle], group: &str) -> Vec<DaemonClient> {
     let clients: Vec<_> = daemons
         .iter()
         .enumerate()
         .map(|(i, d)| d.connect(&format!("c{i}")).expect("connect"))
         .collect();
     for c in &clients {
-        c.join("orders").expect("join");
+        c.join(group).expect("join");
     }
-    // Wait until every client sees the full group.
     let mut sizes = vec![0usize; clients.len()];
     assert!(
         wait_for(
@@ -83,12 +91,22 @@ fn udp_ring_total_order_across_daemons() {
                         }
                     }
                 }
-                sizes.iter().all(|&s| s == 3)
+                sizes.iter().all(|&s| s == daemons.len())
             },
             30
         ),
         "group formed over UDP: {sizes:?}"
     );
+    clients
+}
+
+#[test]
+fn udp_ring_total_order_across_daemons() {
+    let Some(daemons) = udp_daemons(3, 47100) else {
+        eprintln!("skipping: no free UDP port range");
+        return;
+    };
+    let clients = join_everyone(&daemons, "orders");
 
     // Every client multicasts; everyone must deliver all 9 messages in
     // the identical order.
@@ -168,6 +186,129 @@ fn udp_safe_delivery_round_trip() {
         "safe message delivered over UDP"
     );
     drop((a, b));
+    for d in daemons {
+        d.shutdown().expect("clean shutdown");
+    }
+}
+
+/// Appends every delivered payload to its client's log.
+fn collect(clients: &[DaemonClient], logs: &mut [Vec<String>]) {
+    for (c, log) in clients.iter().zip(logs.iter_mut()) {
+        for ev in c.drain() {
+            if let ClientEvent::Message { payload, .. } = ev {
+                log.push(String::from_utf8_lossy(&payload).into_owned());
+            }
+        }
+    }
+}
+
+/// The idle-token hold end to end: an idle ring parks its token at the
+/// representative (daemon 0), a publisher on either other daemon gets
+/// it back through a cancel rather than the hold deadline, and Safe
+/// delivery still completes everywhere.
+#[test]
+fn idle_ring_parks_its_token_and_publishers_get_it_back() {
+    if DatapathMode::auto() != DatapathMode::Batched {
+        eprintln!("skipping: the portable datapath never holds the token");
+        return;
+    }
+    let hubs: Vec<Arc<TelemetryHub>> = (0..3).map(|_| TelemetryHub::shared()).collect();
+    let Some(daemons) = udp_daemons_with(3, 47400, |i| DaemonConfig {
+        telemetry: Some(Arc::clone(&hubs[i])),
+        ..DaemonConfig::default()
+    }) else {
+        eprintln!("skipping: no free UDP port range");
+        return;
+    };
+    let clients = join_everyone(&daemons, "g");
+    let holds = |why: Release| {
+        hubs[0]
+            .registry
+            .counter_labeled(
+                "ar_node_token_holds_total",
+                &format!("release=\"{}\"", why.label()),
+                "",
+            )
+            .get()
+    };
+
+    // Idle: the token parks instead of rotating flat out.
+    std::thread::sleep(Duration::from_millis(200));
+    let tokens = |hub: &Arc<TelemetryHub>| hub.stats().tokens_handled;
+    let before: Vec<u64> = hubs.iter().map(tokens).collect();
+    std::thread::sleep(Duration::from_secs(2));
+    for (i, hub) in hubs.iter().enumerate() {
+        let handled = tokens(hub) - before[i];
+        eprintln!("daemon {i}: {handled} tokens handled in 2 s idle");
+        assert!(
+            handled < 2_000,
+            "daemon {i} handled {handled} tokens in 2 s idle"
+        );
+        assert_eq!(hub.stats().gathers_started, 0, "daemon {i} regathered");
+    }
+    assert!(holds(Release::Deadline) > 0, "the idle token was held");
+
+    // Agreed publishes from the two non-representatives, 1 ms apart.
+    let held_before: Vec<u64> = Release::ALL.iter().map(|&r| holds(r)).collect();
+    for k in 0..200 {
+        clients[1 + k % 2]
+            .multicast(&["g"], ServiceType::Agreed, Bytes::from(format!("a{k}")))
+            .expect("multicast");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let held: Vec<u64> = Release::ALL
+        .iter()
+        .zip(&held_before)
+        .map(|(&r, before)| holds(r) - before)
+        .collect();
+    let mut logs = vec![Vec::new(); clients.len()];
+    assert!(
+        wait_for(
+            || {
+                collect(&clients, &mut logs);
+                logs.iter().all(|l| l.len() >= 200)
+            },
+            30
+        ),
+        "all Agreed publishes delivered: {:?}",
+        logs.iter().map(Vec::len).collect::<Vec<_>>()
+    );
+    assert_eq!(logs[0].len(), 200);
+    assert_eq!(logs[0], logs[1], "one total order at daemons 0 and 1");
+    assert_eq!(logs[1], logs[2], "one total order at daemons 1 and 2");
+    let total: u64 = held.iter().sum();
+    let by_deadline = held[Release::Deadline.index()];
+    eprintln!("holds by cause {:?}: {held:?}", Release::ALL);
+    assert!(total > 0, "the ring parked between publishes");
+    assert!(
+        by_deadline * 20 < total,
+        "{by_deadline} of {total} holds ran out their deadline \
+         (by cause {:?}: {held:?})",
+        Release::ALL
+    );
+
+    // Safe publishes: each reaches all three daemons before the next.
+    for log in &mut logs {
+        log.clear();
+    }
+    for k in 0..50 {
+        let payload = format!("s{k}");
+        clients[1 + k % 2]
+            .multicast(&["g"], ServiceType::Safe, Bytes::from(payload.clone()))
+            .expect("multicast");
+        assert!(
+            wait_for(
+                || {
+                    collect(&clients, &mut logs);
+                    logs.iter().all(|l| l.contains(&payload))
+                },
+                10
+            ),
+            "Safe {payload} delivered at every daemon: {logs:?}"
+        );
+    }
+
+    drop(clients);
     for d in daemons {
         d.shutdown().expect("clean shutdown");
     }

@@ -123,6 +123,11 @@ fn daemon_ring_serves_metrics_snapshot_and_flight() {
         "ar_node_tokens_rx_total",
         "ar_node_token_rotation_ns",
         "ar_node_queue_depth",
+        "ar_node_token_holds_total{release=\"submit\"}",
+        "ar_node_token_holds_total{release=\"cancel\"}",
+        "ar_node_token_holds_total{release=\"message\"}",
+        "ar_node_token_holds_total{release=\"deadline\"}",
+        "ar_node_token_hold_ns_count",
         "ar_participant_tokens_handled_total",
         "ar_participant_messages_delivered_total",
     ] {

@@ -115,12 +115,17 @@ fn arb_commit() -> impl Strategy<Value = CommitToken> {
         .prop_map(|(ring_id, memb, hop)| CommitToken { ring_id, memb, hop })
 }
 
+fn arb_hold_cancel() -> impl Strategy<Value = Message> {
+    (arb_ring_id(), arb_pid()).prop_map(|(ring_id, pid)| Message::HoldCancel { ring_id, pid })
+}
+
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         arb_data().prop_map(Message::Data),
         arb_token().prop_map(Message::Token),
         arb_join().prop_map(Message::Join),
         arb_commit().prop_map(Message::Commit),
+        arb_hold_cancel(),
     ]
 }
 
@@ -173,6 +178,22 @@ proptest! {
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
             prop_assert!(decode(&bytes[..cut]).is_err());
+        }
+    }
+
+    /// A hold cancel is 13 bytes, round-trips, and every strict prefix
+    /// is rejected as truncated.
+    #[test]
+    fn hold_cancel_roundtrip_and_truncation(msg in arb_hold_cancel()) {
+        let bytes = encode(&msg);
+        prop_assert_eq!(bytes.len(), 13);
+        prop_assert_eq!(decode(&bytes).expect("decode own encoding"), msg);
+        for cut in 0..bytes.len() {
+            let truncated = matches!(
+                decode(&bytes[..cut]),
+                Err(accelerated_ring::core::wire::WireError::Truncated { .. })
+            );
+            prop_assert!(truncated, "cut at {}", cut);
         }
     }
 
