@@ -61,6 +61,7 @@ pub mod actions;
 pub mod adaptive;
 pub mod backoff;
 pub mod checker;
+pub mod codec;
 pub mod config;
 pub mod fault;
 pub mod flow;

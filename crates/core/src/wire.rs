@@ -8,8 +8,9 @@
 //! (verified by property tests), and `decode` rejects malformed input
 //! with a descriptive [`WireError`] rather than panicking.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
+use crate::codec::{put_ring_id, ReadError, Reader, RING_ID_LEN};
 use crate::message::{CommitToken, DataMessage, JoinMessage, MemberInfo, Token};
 use crate::types::{ParticipantId, RingId, Round, Seq, ServiceType};
 
@@ -19,9 +20,6 @@ use crate::types::{ParticipantId, RingId, Round, Seq, ServiceType};
 /// kind(1) + ring_id(10) + seq(8) + pid(2) + round(8) + service(1) +
 /// flags(1) + payload_len(4).
 pub const DATA_HEADER_LEN: usize = 1 + RING_ID_LEN + 8 + 2 + 8 + 1 + 1 + 4;
-
-/// Size in bytes of an encoded ring identifier.
-const RING_ID_LEN: usize = 2 + 8;
 
 /// Maximum admissible payload length (64 KiB datagram minus headers,
 /// mirroring the largest UDP datagram the paper's large-message
@@ -302,11 +300,9 @@ pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
 /// unknown kind or service, has out-of-range length fields, or has
 /// trailing bytes after the message.
 pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
-    let mut buf = bytes;
-    let msg = decode_from(&mut buf)?;
-    if !buf.is_empty() {
-        return Err(WireError::TrailingBytes(buf.len()));
-    }
+    let mut r = Reader::new(bytes);
+    let msg = read_message(&mut r)?;
+    r.finish()?;
     Ok(msg)
 }
 
@@ -317,21 +313,37 @@ pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
 /// Same as [`decode`], except trailing bytes are left in `buf` rather
 /// than rejected (for streaming use).
 pub fn decode_from(buf: &mut &[u8]) -> Result<Message, WireError> {
-    let kind = take_u8(buf)?;
+    let mut r = Reader::new(buf);
+    let msg = read_message(&mut r)?;
+    *buf = r.rest();
+    Ok(msg)
+}
+
+impl From<ReadError> for WireError {
+    fn from(e: ReadError) -> WireError {
+        match e {
+            ReadError::Truncated { needed } => WireError::Truncated { needed },
+            ReadError::Trailing(n) => WireError::TrailingBytes(n),
+        }
+    }
+}
+
+fn read_message(r: &mut Reader<'_>) -> Result<Message, WireError> {
+    let kind = r.u8()?;
     match kind {
         k if k == Kind::Data as u8 => {
-            let ring_id = take_ring_id(buf)?;
-            let seq = Seq::new(take_u64(buf)?);
-            let pid = ParticipantId::new(take_u16(buf)?);
-            let round = Round::new(take_u64(buf)?);
-            let service_raw = take_u8(buf)?;
+            let ring_id = r.ring_id()?;
+            let seq = Seq::new(r.u64()?);
+            let pid = ParticipantId::new(r.u16()?);
+            let round = Round::new(r.u64()?);
+            let service_raw = r.u8()?;
             let service =
                 ServiceType::from_u8(service_raw).ok_or(WireError::InvalidService(service_raw))?;
-            let flags = take_u8(buf)?;
+            let flags = r.u8()?;
             if flags > 1 {
                 return Err(WireError::InvalidFlags(flags));
             }
-            let len = take_u32(buf)? as usize;
+            let len = r.u32()? as usize;
             if len > MAX_PAYLOAD_LEN {
                 return Err(WireError::LengthOutOfRange {
                     field: "payload",
@@ -339,7 +351,7 @@ pub fn decode_from(buf: &mut &[u8]) -> Result<Message, WireError> {
                     max: MAX_PAYLOAD_LEN,
                 });
             }
-            let payload = take_bytes(buf, len)?;
+            let payload = Bytes::copy_from_slice(r.bytes(len)?);
             Ok(Message::Data(DataMessage {
                 ring_id,
                 seq,
@@ -351,15 +363,15 @@ pub fn decode_from(buf: &mut &[u8]) -> Result<Message, WireError> {
             }))
         }
         k if k == Kind::Token as u8 => {
-            let ring_id = take_ring_id(buf)?;
-            let round = Round::new(take_u64(buf)?);
-            let seq = Seq::new(take_u64(buf)?);
-            let aru = Seq::new(take_u64(buf)?);
-            let has_setter = take_u8(buf)?;
+            let ring_id = r.ring_id()?;
+            let round = Round::new(r.u64()?);
+            let seq = Seq::new(r.u64()?);
+            let aru = Seq::new(r.u64()?);
+            let has_setter = r.u8()?;
             if has_setter > 1 {
                 return Err(WireError::InvalidFlags(has_setter));
             }
-            let setter_raw = take_u16(buf)?;
+            let setter_raw = r.u16()?;
             // An absent setter must carry zero setter bytes: accepting
             // arbitrary bytes here would let two distinct byte strings
             // decode to the same token, breaking the byte-exact
@@ -370,8 +382,8 @@ pub fn decode_from(buf: &mut &[u8]) -> Result<Message, WireError> {
                 });
             }
             let aru_setter = (has_setter == 1).then(|| ParticipantId::new(setter_raw));
-            let fcc = take_u32(buf)?;
-            let n = take_u32(buf)? as usize;
+            let fcc = r.u32()?;
+            let n = r.u32()? as usize;
             if n > MAX_RTR_ENTRIES {
                 return Err(WireError::LengthOutOfRange {
                     field: "rtr",
@@ -381,7 +393,7 @@ pub fn decode_from(buf: &mut &[u8]) -> Result<Message, WireError> {
             }
             let mut rtr = Vec::with_capacity(n);
             for _ in 0..n {
-                rtr.push(Seq::new(take_u64(buf)?));
+                rtr.push(Seq::new(r.u64()?));
             }
             Ok(Message::Token(Token {
                 ring_id,
@@ -394,10 +406,10 @@ pub fn decode_from(buf: &mut &[u8]) -> Result<Message, WireError> {
             }))
         }
         k if k == Kind::Join as u8 => {
-            let sender = ParticipantId::new(take_u16(buf)?);
-            let ring_seq = take_u64(buf)?;
-            let proc_set = take_pid_list(buf)?;
-            let fail_set = take_pid_list(buf)?;
+            let sender = ParticipantId::new(r.u16()?);
+            let ring_seq = r.u64()?;
+            let proc_set = read_pid_list(r)?;
+            let fail_set = read_pid_list(r)?;
             Ok(Message::Join(JoinMessage {
                 sender,
                 proc_set,
@@ -406,9 +418,9 @@ pub fn decode_from(buf: &mut &[u8]) -> Result<Message, WireError> {
             }))
         }
         k if k == Kind::Commit as u8 => {
-            let ring_id = take_ring_id(buf)?;
-            let hop = take_u32(buf)?;
-            let n = take_u32(buf)? as usize;
+            let ring_id = r.ring_id()?;
+            let hop = r.u32()?;
+            let n = r.u32()? as usize;
             if n > MAX_MEMBERS {
                 return Err(WireError::LengthOutOfRange {
                     field: "memb",
@@ -418,12 +430,12 @@ pub fn decode_from(buf: &mut &[u8]) -> Result<Message, WireError> {
             }
             let mut memb = Vec::with_capacity(n);
             for _ in 0..n {
-                let pid = ParticipantId::new(take_u16(buf)?);
-                let old_ring_id = take_ring_id(buf)?;
-                let my_aru = Seq::new(take_u64(buf)?);
-                let high_seq = Seq::new(take_u64(buf)?);
-                let safe_seq = Seq::new(take_u64(buf)?);
-                let filled_raw = take_u8(buf)?;
+                let pid = ParticipantId::new(r.u16()?);
+                let old_ring_id = r.ring_id()?;
+                let my_aru = Seq::new(r.u64()?);
+                let high_seq = Seq::new(r.u64()?);
+                let safe_seq = Seq::new(r.u64()?);
+                let filled_raw = r.u8()?;
                 if filled_raw > 1 {
                     return Err(WireError::InvalidFlags(filled_raw));
                 }
@@ -439,27 +451,16 @@ pub fn decode_from(buf: &mut &[u8]) -> Result<Message, WireError> {
             Ok(Message::Commit(CommitToken { ring_id, memb, hop }))
         }
         k if k == Kind::HoldCancel as u8 => {
-            let ring_id = take_ring_id(buf)?;
-            let pid = ParticipantId::new(take_u16(buf)?);
+            let ring_id = r.ring_id()?;
+            let pid = ParticipantId::new(r.u16()?);
             Ok(Message::HoldCancel { ring_id, pid })
         }
         other => Err(WireError::UnknownKind(other)),
     }
 }
 
-fn put_ring_id(buf: &mut BytesMut, r: RingId) {
-    buf.put_u16(r.representative().as_u16());
-    buf.put_u64(r.ring_seq());
-}
-
-fn take_ring_id(buf: &mut &[u8]) -> Result<RingId, WireError> {
-    let rep = ParticipantId::new(take_u16(buf)?);
-    let ring_seq = take_u64(buf)?;
-    Ok(RingId::new(rep, ring_seq))
-}
-
-fn take_pid_list(buf: &mut &[u8]) -> Result<Vec<ParticipantId>, WireError> {
-    let n = take_u32(buf)? as usize;
+fn read_pid_list(r: &mut Reader<'_>) -> Result<Vec<ParticipantId>, WireError> {
+    let n = r.u32()? as usize;
     if n > MAX_MEMBERS {
         return Err(WireError::LengthOutOfRange {
             field: "pid list",
@@ -469,46 +470,9 @@ fn take_pid_list(buf: &mut &[u8]) -> Result<Vec<ParticipantId>, WireError> {
     }
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
-        v.push(ParticipantId::new(take_u16(buf)?));
+        v.push(ParticipantId::new(r.u16()?));
     }
     Ok(v)
-}
-
-fn ensure(buf: &[u8], n: usize) -> Result<(), WireError> {
-    if buf.len() < n {
-        Err(WireError::Truncated {
-            needed: n - buf.len(),
-        })
-    } else {
-        Ok(())
-    }
-}
-
-fn take_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
-    ensure(buf, 1)?;
-    Ok(buf.get_u8())
-}
-
-fn take_u16(buf: &mut &[u8]) -> Result<u16, WireError> {
-    ensure(buf, 2)?;
-    Ok(buf.get_u16())
-}
-
-fn take_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
-    ensure(buf, 4)?;
-    Ok(buf.get_u32())
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    ensure(buf, 8)?;
-    Ok(buf.get_u64())
-}
-
-fn take_bytes(buf: &mut &[u8], n: usize) -> Result<Bytes, WireError> {
-    ensure(buf, n)?;
-    let out = Bytes::copy_from_slice(&buf[..n]);
-    buf.advance(n);
-    Ok(out)
 }
 
 #[cfg(test)]

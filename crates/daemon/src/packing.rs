@@ -17,9 +17,10 @@
 
 use std::collections::HashMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use ar_core::codec::Reader;
+use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::proto::{decode, encode, Envelope, EnvelopeError, MemberId};
+use crate::proto::{decode, encode, read_groups, read_member, Envelope, EnvelopeError, MemberId};
 
 /// Default bundle budget: fill protocol packets to the paper's
 /// 1350-byte payload (one standard-MTU frame with headers).
@@ -101,96 +102,40 @@ pub fn encode_bundle(entries: &[BundleEntry]) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns an [`EnvelopeError`] on malformed input.
-pub fn decode_bundle(mut buf: &[u8]) -> Result<Vec<BundleEntry>, EnvelopeError> {
-    if buf.len() < 2 {
-        return Err(EnvelopeError::Truncated);
-    }
-    let count = buf.get_u16() as usize;
+/// Returns an [`EnvelopeError`] on malformed input, including bytes
+/// after the last entry.
+pub fn decode_bundle(buf: &[u8]) -> Result<Vec<BundleEntry>, EnvelopeError> {
+    let mut r = Reader::new(buf);
+    let count = r.u16()? as usize;
     if count > 4096 {
         return Err(EnvelopeError::LimitExceeded("bundle"));
     }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        if buf.is_empty() {
-            return Err(EnvelopeError::Truncated);
-        }
-        let tag = buf.get_u8();
-        match tag {
+        let entry = match r.u8()? {
             0 => {
-                if buf.len() < 4 {
-                    return Err(EnvelopeError::Truncated);
-                }
-                let len = buf.get_u32() as usize;
-                if buf.len() < len {
-                    return Err(EnvelopeError::Truncated);
-                }
-                let env = decode(&buf[..len])?;
-                buf.advance(len);
-                out.push(BundleEntry::Whole(env));
+                let len = r.u32()? as usize;
+                BundleEntry::Whole(decode(r.bytes(len)?)?)
             }
-            1 => {
-                if buf.len() < 3 {
-                    return Err(EnvelopeError::Truncated);
-                }
-                let daemon = ar_core::ParticipantId::new(buf.get_u16());
-                let name_len = buf.get_u8() as usize;
-                if buf.len() < name_len {
-                    return Err(EnvelopeError::Truncated);
-                }
-                let client = std::str::from_utf8(&buf[..name_len])
-                    .map_err(|_| EnvelopeError::BadName)?
-                    .to_string();
-                buf.advance(name_len);
-                if buf.len() < 8 + 8 + 4 + 4 + 2 {
-                    return Err(EnvelopeError::Truncated);
-                }
-                let msg_id = buf.get_u64();
-                let stamp = buf.get_u64();
-                let idx = buf.get_u32();
-                let total = buf.get_u32();
-                let n_groups = buf.get_u16() as usize;
-                if n_groups > crate::proto::MAX_GROUPS {
-                    return Err(EnvelopeError::LimitExceeded("groups"));
-                }
-                let mut groups = Vec::with_capacity(n_groups);
-                for _ in 0..n_groups {
-                    if buf.is_empty() {
-                        return Err(EnvelopeError::Truncated);
-                    }
-                    let glen = buf.get_u8() as usize;
-                    if buf.len() < glen {
-                        return Err(EnvelopeError::Truncated);
-                    }
-                    groups.push(
-                        std::str::from_utf8(&buf[..glen])
-                            .map_err(|_| EnvelopeError::BadName)?
-                            .to_string(),
-                    );
-                    buf.advance(glen);
-                }
-                if buf.len() < 4 {
-                    return Err(EnvelopeError::Truncated);
-                }
-                let clen = buf.get_u32() as usize;
-                if buf.len() < clen {
-                    return Err(EnvelopeError::Truncated);
-                }
-                let chunk = Bytes::copy_from_slice(&buf[..clen]);
-                buf.advance(clen);
-                out.push(BundleEntry::Fragment(Fragment {
-                    sender: MemberId { daemon, client },
-                    msg_id,
-                    stamp,
-                    idx,
-                    total,
-                    groups,
-                    chunk,
-                }));
-            }
+            // Fields in encoding order (struct fields evaluate in the
+            // order written).
+            1 => BundleEntry::Fragment(Fragment {
+                sender: read_member(&mut r)?,
+                msg_id: r.u64()?,
+                stamp: r.u64()?,
+                idx: r.u32()?,
+                total: r.u32()?,
+                groups: read_groups(&mut r)?,
+                chunk: {
+                    let len = r.u32()? as usize;
+                    Bytes::copy_from_slice(r.bytes(len)?)
+                },
+            }),
             other => return Err(EnvelopeError::UnknownKind(other)),
-        }
+        };
+        out.push(entry);
     }
+    r.finish()?;
     Ok(out)
 }
 
@@ -434,6 +379,30 @@ mod tests {
         for cut in 0..enc.len() {
             assert!(decode_bundle(&enc[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn fragment_names_obey_the_envelope_name_limit() {
+        let client = "x".repeat(crate::proto::MAX_NAME + 1);
+        let enc = encode_bundle(&[BundleEntry::Fragment(Fragment {
+            sender: MemberId::new(ParticipantId::new(1), client),
+            msg_id: 1,
+            stamp: 0,
+            idx: 0,
+            total: 1,
+            groups: vec![],
+            chunk: Bytes::new(),
+        })]);
+        let err = decode_bundle(&enc).unwrap_err();
+        assert_eq!(err, EnvelopeError::LimitExceeded("name"));
+    }
+
+    #[test]
+    fn bytes_after_the_last_entry_are_rejected() {
+        let mut enc = encode_bundle(&[BundleEntry::Whole(data(3))]).to_vec();
+        enc.extend_from_slice(b"junk");
+        let err = decode_bundle(&enc).unwrap_err();
+        assert_eq!(err, EnvelopeError::TrailingBytes(4));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! daemon applies them in the same order and group views stay
 //! consistent (the classic Spread design).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
+use ar_core::codec::{ReadError, Reader};
 use ar_core::ParticipantId;
 
 /// Maximum length of a client or group name, in bytes.
@@ -91,6 +92,8 @@ pub enum EnvelopeError {
     LimitExceeded(&'static str),
     /// A name was not valid UTF-8.
     BadName,
+    /// Bytes followed a complete envelope or bundle.
+    TrailingBytes(usize),
 }
 
 impl core::fmt::Display for EnvelopeError {
@@ -100,6 +103,7 @@ impl core::fmt::Display for EnvelopeError {
             EnvelopeError::UnknownKind(k) => write!(f, "unknown envelope kind {k}"),
             EnvelopeError::LimitExceeded(what) => write!(f, "{what} limit exceeded"),
             EnvelopeError::BadName => f.write_str("name is not valid utf-8"),
+            EnvelopeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after envelope"),
         }
     }
 }
@@ -150,43 +154,36 @@ pub fn encode(env: &Envelope) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns an [`EnvelopeError`] on malformed input.
-pub fn decode(mut buf: &[u8]) -> Result<Envelope, EnvelopeError> {
-    let kind = take_u8(&mut buf)?;
-    match kind {
+/// Returns an [`EnvelopeError`] on malformed input, including bytes
+/// after the envelope.
+pub fn decode(buf: &[u8]) -> Result<Envelope, EnvelopeError> {
+    let mut r = Reader::new(buf);
+    let env = match r.u8()? {
         1 => {
-            let sender = take_member(&mut buf)?;
-            let stamp = take_u64(&mut buf)?;
-            let n = take_u16(&mut buf)? as usize;
-            if n > MAX_GROUPS {
-                return Err(EnvelopeError::LimitExceeded("groups"));
-            }
-            let mut groups = Vec::with_capacity(n);
-            for _ in 0..n {
-                groups.push(take_name(&mut buf)?);
-            }
-            let len = take_u32(&mut buf)? as usize;
-            if buf.len() < len {
-                return Err(EnvelopeError::Truncated);
-            }
-            let payload = Bytes::copy_from_slice(&buf[..len]);
-            Ok(Envelope::Data {
+            let sender = read_member(&mut r)?;
+            let stamp = r.u64()?;
+            let groups = read_groups(&mut r)?;
+            let len = r.u32()? as usize;
+            let payload = Bytes::copy_from_slice(r.bytes(len)?);
+            Envelope::Data {
                 sender,
                 stamp,
                 groups,
                 payload,
-            })
+            }
         }
-        2 => Ok(Envelope::Join {
-            member: take_member(&mut buf)?,
-            group: take_name(&mut buf)?,
-        }),
-        3 => Ok(Envelope::Leave {
-            member: take_member(&mut buf)?,
-            group: take_name(&mut buf)?,
-        }),
-        other => Err(EnvelopeError::UnknownKind(other)),
-    }
+        2 => Envelope::Join {
+            member: read_member(&mut r)?,
+            group: read_name(&mut r)?,
+        },
+        3 => Envelope::Leave {
+            member: read_member(&mut r)?,
+            group: read_name(&mut r)?,
+        },
+        other => return Err(EnvelopeError::UnknownKind(other)),
+    };
+    r.finish()?;
+    Ok(env)
 }
 
 fn put_member(buf: &mut BytesMut, m: &MemberId) {
@@ -200,52 +197,39 @@ fn put_name(buf: &mut BytesMut, name: &str) {
     buf.put_slice(name.as_bytes());
 }
 
-fn take_member(buf: &mut &[u8]) -> Result<MemberId, EnvelopeError> {
-    let daemon = ParticipantId::new(take_u16(buf)?);
-    let client = take_name(buf)?;
+impl From<ReadError> for EnvelopeError {
+    fn from(e: ReadError) -> EnvelopeError {
+        match e {
+            ReadError::Truncated { .. } => EnvelopeError::Truncated,
+            ReadError::Trailing(n) => EnvelopeError::TrailingBytes(n),
+        }
+    }
+}
+
+/// Reads a member as [`put_member`] wrote it.
+pub(crate) fn read_member(r: &mut Reader<'_>) -> Result<MemberId, EnvelopeError> {
+    let daemon = ParticipantId::new(r.u16()?);
+    let client = read_name(r)?;
     Ok(MemberId { daemon, client })
 }
 
-fn take_name(buf: &mut &[u8]) -> Result<String, EnvelopeError> {
-    let len = take_u8(buf)? as usize;
+/// Reads a `u16`-counted list of at most [`MAX_GROUPS`] group names.
+pub(crate) fn read_groups(r: &mut Reader<'_>) -> Result<Vec<String>, EnvelopeError> {
+    let n = r.u16()? as usize;
+    if n > MAX_GROUPS {
+        return Err(EnvelopeError::LimitExceeded("groups"));
+    }
+    (0..n).map(|_| read_name(r)).collect()
+}
+
+/// Reads a name of at most [`MAX_NAME`] UTF-8 bytes.
+fn read_name(r: &mut Reader<'_>) -> Result<String, EnvelopeError> {
+    let len = r.u8()? as usize;
     if len > MAX_NAME {
         return Err(EnvelopeError::LimitExceeded("name"));
     }
-    if buf.len() < len {
-        return Err(EnvelopeError::Truncated);
-    }
-    let s = std::str::from_utf8(&buf[..len]).map_err(|_| EnvelopeError::BadName)?;
-    let out = s.to_string();
-    buf.advance(len);
-    Ok(out)
-}
-
-fn take_u8(buf: &mut &[u8]) -> Result<u8, EnvelopeError> {
-    if buf.is_empty() {
-        return Err(EnvelopeError::Truncated);
-    }
-    Ok(buf.get_u8())
-}
-
-fn take_u16(buf: &mut &[u8]) -> Result<u16, EnvelopeError> {
-    if buf.len() < 2 {
-        return Err(EnvelopeError::Truncated);
-    }
-    Ok(buf.get_u16())
-}
-
-fn take_u32(buf: &mut &[u8]) -> Result<u32, EnvelopeError> {
-    if buf.len() < 4 {
-        return Err(EnvelopeError::Truncated);
-    }
-    Ok(buf.get_u32())
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64, EnvelopeError> {
-    if buf.len() < 8 {
-        return Err(EnvelopeError::Truncated);
-    }
-    Ok(buf.get_u64())
+    let s = std::str::from_utf8(r.bytes(len)?).map_err(|_| EnvelopeError::BadName)?;
+    Ok(s.to_string())
 }
 
 #[cfg(test)]
@@ -316,6 +300,19 @@ mod tests {
         for cut in 0..enc.len() {
             assert!(decode(&enc[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        let mut enc = encode(&Envelope::Data {
+            sender: member(),
+            stamp: 1,
+            groups: vec!["g".into()],
+            payload: Bytes::from_static(b"p"),
+        })
+        .to_vec();
+        enc.push(0);
+        assert_eq!(decode(&enc).unwrap_err(), EnvelopeError::TrailingBytes(1));
     }
 
     #[test]

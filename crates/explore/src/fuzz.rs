@@ -1,4 +1,4 @@
-//! Structure-aware, seeded fuzzing of the wire codec.
+//! Structure-aware, seeded fuzzing of byte codecs.
 //!
 //! Coverage-guided fuzzers need instrumentation the offline toolchain
 //! does not carry; instead this fuzzer leans on *structure*: every
@@ -9,12 +9,15 @@
 //! length/count offsets, truncation, extension, and cross-kind
 //! splicing.
 //!
-//! Three properties are asserted for every candidate input:
+//! The codec is a parameter ([`Codec`], driven by [`run_codec`]):
+//! [`run`] fuzzes [`ar_core::wire`], and the workspace's codec-harness
+//! test runs the client, daemon and log formats of the crates above
+//! this one. Three properties are asserted for every candidate input:
 //!
-//! 1. [`ar_core::wire::decode`] never panics. In safe Rust a panic is
-//!    also how an over-read (slice out of bounds) would manifest, so
-//!    this subsumes the no-over-read check.
-//! 2. Whatever `decode` accepts, `encode` reproduces **byte-exactly**.
+//! 1. decode never panics. In safe Rust a panic is also how an
+//!    over-read (slice out of bounds) would manifest, so this subsumes
+//!    the no-over-read check.
+//! 2. Whatever decode accepts, encode reproduces **byte-exactly**.
 //!    This is the canonicality property: decode is injective on its
 //!    accepted set, so no two distinct byte strings alias to the same
 //!    message (the non-canonical `aru_setter` encoding this fuzzer
@@ -298,8 +301,31 @@ fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>, spare: &[u8]) {
     }
 }
 
-/// Runs the fuzzer. Deterministic for a given config.
+/// A codec under test: how to draw a valid value, encode it, and
+/// decode a whole input (`None` is a checked rejection).
+#[derive(Debug)]
+pub struct Codec<T> {
+    /// Draws a valid value.
+    pub generate: fn(&mut SplitMix64) -> T,
+    /// The value's encoding.
+    pub encode: fn(&T) -> Vec<u8>,
+    /// Decodes bytes.
+    pub decode: fn(&[u8]) -> Option<T>,
+}
+
+/// Fuzzes the peer wire format, [`ar_core::wire`]. Deterministic for
+/// a given config.
 pub fn run(cfg: &FuzzConfig) -> FuzzReport {
+    let wire = Codec {
+        generate: gen_message,
+        encode: |m| wire::encode(m).to_vec(),
+        decode: |b| wire::decode(b).ok(),
+    };
+    run_codec(&wire, cfg)
+}
+
+/// Fuzzes `codec`. Deterministic for a given config.
+pub fn run_codec<T: PartialEq + std::fmt::Debug>(codec: &Codec<T>, cfg: &FuzzConfig) -> FuzzReport {
     let mut rng = SplitMix64::new(cfg.seed);
     let mut report = FuzzReport::default();
     // catch_unwind prints each panic through the global hook before
@@ -308,9 +334,9 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
     let saved_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     for iteration in 0..cfg.iterations {
-        let base = gen_message(&mut rng);
-        let spare = wire::encode(&gen_message(&mut rng)).to_vec();
-        let mut bytes = wire::encode(&base).to_vec();
+        let base = (codec.generate)(&mut rng);
+        let spare = (codec.encode)(&(codec.generate)(&mut rng));
+        let mut bytes = (codec.encode)(&base);
         let mutations = if cfg.max_mutations == 0 {
             0
         } else {
@@ -320,8 +346,9 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
             mutate(&mut rng, &mut bytes, &spare);
         }
         report.iterations += 1;
+        let decode = codec.decode;
         let input = bytes.clone();
-        let outcome = std::panic::catch_unwind(move || wire::decode(&input));
+        let outcome = std::panic::catch_unwind(move || decode(&input));
         match outcome {
             Err(payload) => {
                 let detail = payload
@@ -336,10 +363,10 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
                     detail: format!("seed={:#x}: decode panicked: {detail}", cfg.seed),
                 });
             }
-            Ok(Ok(msg)) => {
+            Ok(Some(msg)) => {
                 report.accepted += 1;
-                let re = wire::encode(&msg);
-                if re.as_ref() != bytes.as_slice() {
+                let re = (codec.encode)(&msg);
+                if re != bytes {
                     let diff = re
                         .iter()
                         .zip(bytes.iter())
@@ -365,7 +392,7 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
                     debug_assert_eq!(msg, base);
                 }
             }
-            Ok(Err(_)) => {
+            Ok(None) => {
                 report.rejected += 1;
                 if mutations == 0 {
                     report.failures.push(FuzzFailure {

@@ -13,11 +13,12 @@
 //!   Virtual Synchrony oracles from `ar-core::checker`; violations are
 //!   minimized and emitted as replayable schedule files consumable by
 //!   `ar_net::replay`.
-//! * [`fuzz`] — a **structure-aware wire fuzzer**. It generates valid
-//!   frames for every message kind, mutates them field-by-field from a
-//!   fixed seed, and asserts that [`ar_core::wire::decode`] never
-//!   panics (which in safe Rust also rules out over-reads) and
-//!   re-encodes everything it accepts byte-for-byte (canonicality).
+//! * [`fuzz`] — a **structure-aware codec fuzzer**. It generates valid
+//!   frames, mutates them field-by-field from a fixed seed, and asserts
+//!   that decode never panics (which in safe Rust also rules out
+//!   over-reads) and re-encodes everything it accepts byte-for-byte
+//!   (canonicality). The codec is a parameter; the CLI fuzzes
+//!   [`ar_core::wire`].
 //!
 //! The `ar-explore` binary fronts both: `cargo run -p ar-explore --
 //! explore --hosts 3 --depth 12` and `cargo run -p ar-explore -- fuzz
@@ -35,5 +36,5 @@ pub use explorer::{
     default_submissions, minimize, minimize_cached, minimize_cached_with, minimize_with,
     ExploreConfig, ExploreReport, Explorer, MinimizeStats, Violation,
 };
-pub use fuzz::{FuzzConfig, FuzzFailure, FuzzReport, SplitMix64};
+pub use fuzz::{Codec, FuzzConfig, FuzzFailure, FuzzReport, SplitMix64};
 pub use model::ModelChecker;

@@ -17,8 +17,9 @@
 //! construction (recovery truncates it), so a corrupt record can never
 //! "resurrect" later data.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 
+use ar_core::codec::{put_ring_id, ReadError, Reader};
 use ar_core::{ParticipantId, RingId, Seq, ServiceType};
 
 use crate::crc::Crc32;
@@ -33,9 +34,6 @@ pub const RECORD_HEADER_LEN: usize = 1 + 1 + 1 + 4 + 4;
 /// data payload with headroom for the record's own framing; anything
 /// larger in a length field is corruption, not data.
 pub const MAX_RECORD_PAYLOAD: usize = 128 * 1024;
-
-/// Encoded size of a [`RingId`]: representative (u16) + ring_seq (u64).
-const RING_ID_LEN: usize = 2 + 8;
 
 /// Record kind tags (part of the on-disk format; append-only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,18 +138,15 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-fn put_ring(out: &mut Vec<u8>, ring: RingId) {
-    out.put_u16(ring.representative().as_u16());
-    out.put_u64(ring.ring_seq());
-}
-
-fn get_ring(buf: &mut &[u8]) -> Result<RingId, RecordError> {
-    if buf.remaining() < RING_ID_LEN {
-        return Err(RecordError::MalformedPayload("ring id"));
+/// For reads inside a CRC-checked body, where a short or long read
+/// means the payload does not fit its kind's layout.
+impl From<ReadError> for RecordError {
+    fn from(e: ReadError) -> RecordError {
+        match e {
+            ReadError::Truncated { .. } => RecordError::MalformedPayload("short for its kind"),
+            ReadError::Trailing(_) => RecordError::MalformedPayload("long for its kind"),
+        }
     }
-    let rep = ParticipantId::new(buf.get_u16());
-    let ring_seq = buf.get_u64();
-    Ok(RingId::new(rep, ring_seq))
 }
 
 /// Appends the encoded form of `rec` to `out` and returns the number of
@@ -160,7 +155,7 @@ pub fn encode_record(rec: &LogRecord, out: &mut Vec<u8>) -> usize {
     let mut body = Vec::new();
     let kind = match rec {
         LogRecord::Delivery(d) => {
-            put_ring(&mut body, d.ring);
+            put_ring_id(&mut body, d.ring);
             body.put_u64(d.seq.as_u64());
             body.put_u16(d.pid.as_u16());
             body.put_u8(d.service.as_u8());
@@ -169,12 +164,12 @@ pub fn encode_record(rec: &LogRecord, out: &mut Vec<u8>) -> usize {
             Kind::Delivery
         }
         LogRecord::Cursor { ring, seq } => {
-            put_ring(&mut body, *ring);
+            put_ring_id(&mut body, *ring);
             body.put_u64(seq.as_u64());
             Kind::Cursor
         }
         LogRecord::Ring { ring, members } => {
-            put_ring(&mut body, *ring);
+            put_ring_id(&mut body, *ring);
             body.put_u16(u16::try_from(members.len()).expect("member count fits u16"));
             for m in members {
                 body.put_u16(m.as_u16());
@@ -212,28 +207,22 @@ pub fn decode_record(buf: &[u8]) -> Result<Option<(LogRecord, usize)>, RecordErr
     if buf.is_empty() {
         return Ok(None);
     }
-    if buf.len() < RECORD_HEADER_LEN {
-        return Err(RecordError::TruncatedHeader);
-    }
-    let mut head = buf;
-    let magic = head.get_u8();
+    let mut r = Reader::new(buf);
+    let header = |r: &mut Reader<'_>| -> Result<_, ReadError> {
+        Ok((r.u8()?, r.u8()?, r.u8()?, r.u32()? as usize, r.u32()?))
+    };
+    let (magic, kind, flags, len, stored) =
+        header(&mut r).map_err(|_| RecordError::TruncatedHeader)?;
     if magic != MAGIC {
         return Err(RecordError::BadMagic(magic));
     }
-    let kind = head.get_u8();
-    let flags = head.get_u8();
-    let len = head.get_u32() as usize;
-    let stored = head.get_u32();
     if len > MAX_RECORD_PAYLOAD {
         return Err(RecordError::LengthOutOfRange(len));
     }
-    if head.remaining() < len {
-        return Err(RecordError::TruncatedPayload {
-            needed: len,
-            have: head.remaining(),
-        });
-    }
-    let body = &head[..len];
+    let have = r.rest().len();
+    let body = r
+        .bytes(len)
+        .map_err(|_| RecordError::TruncatedPayload { needed: len, have })?;
     let mut crc = Crc32::new();
     crc.update(&[kind, flags]);
     crc.update(&(len as u32).to_be_bytes());
@@ -242,55 +231,34 @@ pub fn decode_record(buf: &[u8]) -> Result<Option<(LogRecord, usize)>, RecordErr
     if computed != stored {
         return Err(RecordError::BadCrc { stored, computed });
     }
-    let mut body_buf = body;
+    let mut r = Reader::new(body);
     let rec = match kind {
-        k if k == Kind::Delivery as u8 => {
-            let ring = get_ring(&mut body_buf)?;
-            if body_buf.remaining() < 8 + 2 + 1 + 4 {
-                return Err(RecordError::MalformedPayload("delivery header"));
-            }
-            let seq = Seq::new(body_buf.get_u64());
-            let pid = ParticipantId::new(body_buf.get_u16());
-            let service = ServiceType::from_u8(body_buf.get_u8())
-                .ok_or(RecordError::MalformedPayload("service type"))?;
-            let plen = body_buf.get_u32() as usize;
-            if body_buf.remaining() != plen {
-                return Err(RecordError::MalformedPayload("payload length"));
-            }
-            LogRecord::Delivery(DeliveryRecord {
-                ring,
-                seq,
-                pid,
-                service,
-                payload: Bytes::copy_from_slice(body_buf),
-            })
-        }
-        k if k == Kind::Cursor as u8 => {
-            let ring = get_ring(&mut body_buf)?;
-            if body_buf.remaining() != 8 {
-                return Err(RecordError::MalformedPayload("cursor"));
-            }
-            LogRecord::Cursor {
-                ring,
-                seq: Seq::new(body_buf.get_u64()),
-            }
-        }
+        k if k == Kind::Delivery as u8 => LogRecord::Delivery(DeliveryRecord {
+            ring: r.ring_id()?,
+            seq: Seq::new(r.u64()?),
+            pid: ParticipantId::new(r.u16()?),
+            service: ServiceType::from_u8(r.u8()?)
+                .ok_or(RecordError::MalformedPayload("service type"))?,
+            payload: {
+                let plen = r.u32()? as usize;
+                Bytes::copy_from_slice(r.bytes(plen)?)
+            },
+        }),
+        k if k == Kind::Cursor as u8 => LogRecord::Cursor {
+            ring: r.ring_id()?,
+            seq: Seq::new(r.u64()?),
+        },
         k if k == Kind::Ring as u8 => {
-            let ring = get_ring(&mut body_buf)?;
-            if body_buf.remaining() < 2 {
-                return Err(RecordError::MalformedPayload("member count"));
-            }
-            let n = body_buf.get_u16() as usize;
-            if body_buf.remaining() != n * 2 {
-                return Err(RecordError::MalformedPayload("member list"));
-            }
+            let ring = r.ring_id()?;
+            let n = r.u16()?;
             let members = (0..n)
-                .map(|_| ParticipantId::new(body_buf.get_u16()))
-                .collect();
+                .map(|_| r.u16().map(ParticipantId::new))
+                .collect::<Result<_, _>>()?;
             LogRecord::Ring { ring, members }
         }
         other => return Err(RecordError::UnknownKind(other)),
     };
+    r.finish()?;
     Ok(Some((rec, RECORD_HEADER_LEN + len)))
 }
 

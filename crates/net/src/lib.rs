@@ -13,29 +13,32 @@
 //!   hub for concurrent tests and examples;
 //! * [`Runtime`] — the single-threaded daemon main loop: receive with
 //!   the protocol's current priority preference, handle, execute
-//!   actions, fire timers, and park an idle token ([`hold`]);
-//! * [`spawn`] / [`NodeHandle`] — one-thread-per-participant wrapper
-//!   with channel-based submit/deliver.
+//!   actions, fire timers, and park an idle token ([`hold`]).
 //!
-//! ## Example: a ring of three on in-process transports
+//! ## Example: a ring of three on in-process transports, one thread
 //!
 //! ```
 //! use ar_core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType};
-//! use ar_net::{spawn, AppEvent, LoopbackNet};
+//! use ar_net::{AppEvent, LoopbackNet, Runtime};
 //! use bytes::Bytes;
 //! use std::time::Duration;
 //!
 //! let net = LoopbackNet::new();
 //! let members: Vec<ParticipantId> = (0..3).map(ParticipantId::new).collect();
 //! let ring_id = RingId::new(members[0], 1);
-//! let nodes: Vec<_> = members.iter().map(|&p| {
+//! let mut nodes: Vec<_> = members.iter().map(|&p| {
 //!     let part = Participant::new(p, ProtocolConfig::accelerated(),
 //!                                 ring_id, members.clone()).unwrap();
-//!     spawn(part, net.endpoint(p))
+//!     Runtime::new(part, net.endpoint(p))
 //! }).collect();
+//! for node in &mut nodes { node.start()?; }
 //! nodes[1].submit(Bytes::from_static(b"hello"), ServiceType::Agreed).unwrap();
-//! let ev = nodes[2].recv_event(Duration::from_secs(5));
-//! assert!(matches!(ev, Some(AppEvent::Delivered(_))));
+//! let delivered = |ev: &AppEvent| matches!(ev, AppEvent::Delivered(_));
+//! while !nodes[2].step_with_wait(Duration::ZERO)?.iter().any(delivered) {
+//!     nodes[0].step_with_wait(Duration::ZERO)?;
+//!     nodes[1].step_with_wait(Duration::ZERO)?;
+//! }
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -45,7 +48,6 @@ pub mod hold;
 pub mod loopback;
 pub mod metrics;
 pub mod nemesis;
-pub mod node;
 pub mod poll;
 pub mod replay;
 pub mod runtime;
@@ -59,7 +61,6 @@ pub use hold::{IdleHold, Release};
 pub use loopback::{LoopbackNet, LoopbackTransport};
 pub use metrics::NetMetrics;
 pub use nemesis::{NemesisOutcome, NemesisPlan, NemesisRunner};
-pub use node::{spawn, NodeHandle};
 pub use poll::{wake_pair, PollSet, WakeReceiver, Waker};
 pub use replay::{
     replay_schedule, Expectation, ReplayOutcome, Schedule, ScheduleError, Step, Submission, World,

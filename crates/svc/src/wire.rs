@@ -14,10 +14,11 @@
 
 use std::io;
 
-use ar_core::ServiceType;
+use ar_core::codec::Reader;
+use ar_core::{ParticipantId, ServiceType};
 use ar_daemon::proto::{MAX_GROUPS, MAX_NAME};
 use ar_daemon::MemberId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Current protocol version, exchanged in Hello/Welcome.
 ///
@@ -53,31 +54,38 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn take_str(buf: &mut &[u8]) -> io::Result<String> {
-    if buf.len() < 2 {
-        return Err(bad("truncated string length"));
-    }
-    let len = buf.get_u16() as usize;
-    if buf.len() < len {
-        return Err(bad("truncated string"));
-    }
-    let s = std::str::from_utf8(&buf[..len]).map_err(|_| bad("invalid utf-8"))?;
-    let out = s.to_string();
-    buf.advance(len);
-    Ok(out)
+fn read_str(r: &mut Reader<'_>) -> io::Result<String> {
+    let len = r.u16()? as usize;
+    let s = std::str::from_utf8(r.bytes(len)?).map_err(|_| bad("invalid utf-8"))?;
+    Ok(s.to_string())
 }
 
-fn take_groups(buf: &mut &[u8]) -> io::Result<Vec<String>> {
-    if buf.len() < 2 {
-        return Err(bad("truncated group count"));
+/// A flag byte: 0 or 1, anything else is `what`.
+fn read_bool(r: &mut Reader<'_>, what: &str) -> io::Result<bool> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(bad(what)),
     }
-    let n = buf.get_u16() as usize;
+}
+
+fn read_service(r: &mut Reader<'_>) -> io::Result<ServiceType> {
+    ServiceType::from_u8(r.u8()?).ok_or_else(|| bad("bad service"))
+}
+
+fn read_member(r: &mut Reader<'_>) -> io::Result<MemberId> {
+    let daemon = ParticipantId::new(r.u16()?);
+    Ok(MemberId::new(daemon, read_str(r)?))
+}
+
+fn read_groups(r: &mut Reader<'_>) -> io::Result<Vec<String>> {
+    let n = r.u16()? as usize;
     if n > MAX_GROUPS {
         return Err(bad("too many groups"));
     }
     let mut groups = Vec::with_capacity(n);
     for _ in 0..n {
-        let g = take_str(buf)?;
+        let g = read_str(r)?;
         if g.is_empty() || g.len() > MAX_NAME {
             return Err(bad("bad group name"));
         }
@@ -86,38 +94,9 @@ fn take_groups(buf: &mut &[u8]) -> io::Result<Vec<String>> {
     Ok(groups)
 }
 
-fn take_payload(buf: &mut &[u8]) -> io::Result<Bytes> {
-    if buf.len() < 4 {
-        return Err(bad("truncated payload length"));
-    }
-    let len = buf.get_u32() as usize;
-    if buf.len() < len {
-        return Err(bad("truncated payload"));
-    }
-    let payload = Bytes::copy_from_slice(&buf[..len]);
-    buf.advance(len);
-    Ok(payload)
-}
-
-fn take_u64(buf: &mut &[u8]) -> io::Result<u64> {
-    if buf.len() < 8 {
-        return Err(bad("truncated u64"));
-    }
-    Ok(buf.get_u64())
-}
-
-fn take_u32(buf: &mut &[u8]) -> io::Result<u32> {
-    if buf.len() < 4 {
-        return Err(bad("truncated u32"));
-    }
-    Ok(buf.get_u32())
-}
-
-fn take_u16(buf: &mut &[u8]) -> io::Result<u16> {
-    if buf.len() < 2 {
-        return Err(bad("truncated u16"));
-    }
-    Ok(buf.get_u16())
+fn read_payload(r: &mut Reader<'_>) -> io::Result<Bytes> {
+    let len = r.u32()? as usize;
+    Ok(Bytes::copy_from_slice(r.bytes(len)?))
 }
 
 /// Proof of a previous session, presented in
@@ -355,63 +334,50 @@ pub fn encode_client(frame: &ClientFrame) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on any malformed input (never panics).
-pub fn decode_client(mut buf: &[u8]) -> io::Result<ClientFrame> {
-    if buf.is_empty() {
-        return Err(bad("empty frame"));
-    }
-    match buf.get_u8() {
+/// Returns `InvalidData` on any malformed input, including bytes after
+/// the frame's last field (never panics).
+pub fn decode_client(buf: &[u8]) -> io::Result<ClientFrame> {
+    let mut r = Reader::new(buf);
+    let frame = match r.u8()? {
         1 => {
-            let version = take_u16(&mut buf)?;
-            let name = take_str(&mut buf)?;
+            let version = r.u16()?;
+            let name = read_str(&mut r)?;
             if name.is_empty() || name.len() > MAX_NAME {
                 return Err(bad("bad client name"));
             }
-            if buf.is_empty() {
-                return Err(bad("truncated resume flag"));
-            }
-            let resume = match buf.get_u8() {
-                0 => None,
-                1 => Some(ResumeToken {
-                    session: take_u64(&mut buf)?,
-                    epoch: take_u64(&mut buf)?,
-                    acked_through: take_u64(&mut buf)?,
-                }),
-                _ => return Err(bad("bad resume flag")),
+            let resume = if read_bool(&mut r, "bad resume flag")? {
+                Some(ResumeToken {
+                    session: r.u64()?,
+                    epoch: r.u64()?,
+                    acked_through: r.u64()?,
+                })
+            } else {
+                None
             };
-            Ok(ClientFrame::Hello {
+            ClientFrame::Hello {
                 version,
                 name,
                 resume,
-            })
-        }
-        2 => Ok(ClientFrame::JoinGroup {
-            group: take_str(&mut buf)?,
-        }),
-        3 => Ok(ClientFrame::LeaveGroup {
-            group: take_str(&mut buf)?,
-        }),
-        4 => {
-            let id = take_u64(&mut buf)?;
-            if buf.is_empty() {
-                return Err(bad("truncated service"));
             }
-            let service = ServiceType::from_u8(buf.get_u8()).ok_or_else(|| bad("bad service"))?;
-            let groups = take_groups(&mut buf)?;
-            let payload = take_payload(&mut buf)?;
-            Ok(ClientFrame::Publish {
-                id,
-                service,
-                groups,
-                payload,
-            })
         }
-        5 => Ok(ClientFrame::Ack {
-            through: take_u64(&mut buf)?,
-        }),
-        6 => Ok(ClientFrame::Goodbye),
-        _ => Err(bad("unknown client frame kind")),
-    }
+        2 => ClientFrame::JoinGroup {
+            group: read_str(&mut r)?,
+        },
+        3 => ClientFrame::LeaveGroup {
+            group: read_str(&mut r)?,
+        },
+        4 => ClientFrame::Publish {
+            id: r.u64()?,
+            service: read_service(&mut r)?,
+            groups: read_groups(&mut r)?,
+            payload: read_payload(&mut r)?,
+        },
+        5 => ClientFrame::Ack { through: r.u64()? },
+        6 => ClientFrame::Goodbye,
+        _ => return Err(bad("unknown client frame kind")),
+    };
+    r.finish()?;
+    Ok(frame)
 }
 
 /// Encodes a server frame (without the length prefix).
@@ -517,106 +483,68 @@ pub fn encode_server(frame: &ServerFrame) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on any malformed input (never panics).
-pub fn decode_server(mut buf: &[u8]) -> io::Result<ServerFrame> {
-    use ar_core::ParticipantId;
-    if buf.is_empty() {
-        return Err(bad("empty frame"));
-    }
-    match buf.get_u8() {
-        1 => {
-            let version = take_u16(&mut buf)?;
-            let daemon = take_u16(&mut buf)?;
-            let rings = take_u16(&mut buf)?;
-            let publish_credits = take_u32(&mut buf)?;
-            let delivery_window = take_u32(&mut buf)?;
-            let session = take_u64(&mut buf)?;
-            let epoch = take_u64(&mut buf)?;
-            if buf.is_empty() {
-                return Err(bad("truncated resumed flag"));
-            }
-            let resumed = buf.get_u8() != 0;
-            Ok(ServerFrame::Welcome {
-                version,
-                daemon,
-                rings,
-                publish_credits,
-                delivery_window,
-                session,
-                epoch,
-                resumed,
-                retained_lo: take_u64(&mut buf)?,
-                retained_hi: take_u64(&mut buf)?,
-            })
-        }
-        2 => Ok(ServerFrame::Refused {
-            reason: take_str(&mut buf)?,
-        }),
-        3 => {
-            let seq = take_u64(&mut buf)?;
-            let ring_seq = take_u64(&mut buf)?;
-            let shard = take_u16(&mut buf)?;
-            if buf.is_empty() {
-                return Err(bad("truncated service"));
-            }
-            let service = ServiceType::from_u8(buf.get_u8()).ok_or_else(|| bad("bad service"))?;
-            let daemon = ParticipantId::new(take_u16(&mut buf)?);
-            let client = take_str(&mut buf)?;
-            let groups = take_groups(&mut buf)?;
-            let payload = take_payload(&mut buf)?;
-            Ok(ServerFrame::Deliver {
-                seq,
-                ring_seq,
-                shard,
-                service,
-                sender: MemberId::new(daemon, client),
-                groups,
-                payload,
-            })
-        }
+/// Returns `InvalidData` on any malformed input, including bytes after
+/// the frame's last field (never panics).
+pub fn decode_server(buf: &[u8]) -> io::Result<ServerFrame> {
+    let mut r = Reader::new(buf);
+    let frame = match r.u8()? {
+        1 => ServerFrame::Welcome {
+            version: r.u16()?,
+            daemon: r.u16()?,
+            rings: r.u16()?,
+            publish_credits: r.u32()?,
+            delivery_window: r.u32()?,
+            session: r.u64()?,
+            epoch: r.u64()?,
+            resumed: read_bool(&mut r, "bad resumed flag")?,
+            retained_lo: r.u64()?,
+            retained_hi: r.u64()?,
+        },
+        2 => ServerFrame::Refused {
+            reason: read_str(&mut r)?,
+        },
+        3 => ServerFrame::Deliver {
+            seq: r.u64()?,
+            ring_seq: r.u64()?,
+            shard: r.u16()?,
+            service: read_service(&mut r)?,
+            sender: read_member(&mut r)?,
+            groups: read_groups(&mut r)?,
+            payload: read_payload(&mut r)?,
+        },
         4 => {
-            let group = take_str(&mut buf)?;
-            let n = take_u16(&mut buf)? as usize;
-            let mut members = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let d = ParticipantId::new(take_u16(&mut buf)?);
-                let c = take_str(&mut buf)?;
-                members.push(MemberId::new(d, c));
-            }
-            Ok(ServerFrame::Membership { group, members })
+            let group = read_str(&mut r)?;
+            let n = r.u16()?;
+            let members = (0..n)
+                .map(|_| read_member(&mut r))
+                .collect::<io::Result<_>>()?;
+            ServerFrame::Membership { group, members }
         }
         5 => {
-            let n = take_u16(&mut buf)? as usize;
-            let mut daemons = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                daemons.push(take_u16(&mut buf)?);
-            }
-            Ok(ServerFrame::NetworkChange { daemons })
+            let n = r.u16()?;
+            let daemons = (0..n).map(|_| r.u16()).collect::<Result<_, _>>()?;
+            ServerFrame::NetworkChange { daemons }
         }
-        6 => Ok(ServerFrame::CreditGrant {
-            acked_id: take_u64(&mut buf)?,
-            credits: take_u32(&mut buf)?,
-        }),
-        7 => Ok(ServerFrame::PublishReject {
-            id: take_u64(&mut buf)?,
-            reason: take_str(&mut buf)?,
-        }),
-        8 => Ok(ServerFrame::Evicted {
-            reason: take_str(&mut buf)?,
-        }),
-        9 => {
-            if buf.is_empty() {
-                return Err(bad("truncated rejection"));
-            }
-            let join = buf.get_u8() != 0;
-            Ok(ServerFrame::GroupRejected {
-                join,
-                group: take_str(&mut buf)?,
-                reason: take_str(&mut buf)?,
-            })
-        }
-        _ => Err(bad("unknown server frame kind")),
-    }
+        6 => ServerFrame::CreditGrant {
+            acked_id: r.u64()?,
+            credits: r.u32()?,
+        },
+        7 => ServerFrame::PublishReject {
+            id: r.u64()?,
+            reason: read_str(&mut r)?,
+        },
+        8 => ServerFrame::Evicted {
+            reason: read_str(&mut r)?,
+        },
+        9 => ServerFrame::GroupRejected {
+            join: read_bool(&mut r, "bad join flag")?,
+            group: read_str(&mut r)?,
+            reason: read_str(&mut r)?,
+        },
+        _ => return Err(bad("unknown server frame kind")),
+    };
+    r.finish()?;
+    Ok(frame)
 }
 
 /// Prepends the `u32` big-endian length prefix to an encoded frame.
@@ -723,7 +651,6 @@ impl FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ar_core::ParticipantId;
 
     fn client_frames() -> Vec<ClientFrame> {
         vec![
@@ -838,6 +765,26 @@ mod tests {
             for cut in 0..enc.len() {
                 assert!(decode_server(&enc[..cut]).is_err(), "server cut {cut}");
             }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_and_non_boolean_flags_are_rejected() {
+        let mut ack = encode_client(&ClientFrame::Ack { through: 5 }).to_vec();
+        ack.push(0xAB);
+        assert!(decode_client(&ack).is_err());
+        for f in server_frames() {
+            let mut enc = encode_server(&f).to_vec();
+            enc.push(0);
+            assert!(decode_server(&enc).is_err(), "{f:?} + junk decoded");
+        }
+        // Welcome.resumed follows the kind, three u16s, two u32s and two
+        // u64s; GroupRejected.join follows the kind.
+        for (frame, flag_at) in [(0, 1 + 2 * 3 + 4 * 2 + 8 * 2), (8, 1)] {
+            let mut enc = encode_server(&server_frames()[frame]).to_vec();
+            assert_eq!(enc[flag_at], 1);
+            enc[flag_at] = 2;
+            assert!(decode_server(&enc).is_err());
         }
     }
 

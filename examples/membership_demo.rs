@@ -1,7 +1,8 @@
 //! Membership in action: crash a ring member and watch Extended
 //! Virtual Synchrony deliver a transitional and a regular
 //! configuration; messages in flight at the moment of the crash are
-//! recovered and delivered consistently by the survivors.
+//! recovered and delivered consistently by the survivors. One thread
+//! steps every process's `Runtime` round-robin.
 //!
 //! Run with: `cargo run --release --example membership_demo`
 
@@ -11,10 +12,12 @@ use accelerated_ring::core::{
     ConfigChangeKind, Participant, ParticipantId, ProtocolConfig, RingId, ServiceType,
     TimeoutConfig,
 };
-use accelerated_ring::net::{spawn, AppEvent, LoopbackNet, NodeHandle};
+use accelerated_ring::net::{AppEvent, LoopbackNet, LoopbackTransport, Runtime};
 use bytes::Bytes;
 
 const N: u16 = 4;
+
+type Node = Runtime<LoopbackTransport>;
 
 fn main() {
     let net = LoopbackNet::new();
@@ -29,34 +32,33 @@ fn main() {
         commit: 40_000_000,
         token_retransmit_limit: 3,
     };
-    let mut nodes: Vec<Option<NodeHandle>> = members
+    let mut nodes: Vec<Node> = members
         .iter()
         .map(|&pid| {
             let mut part =
                 Participant::new(pid, ProtocolConfig::accelerated(), ring_id, members.clone())
                     .expect("valid ring");
             part.set_timeouts(timeouts).expect("valid timeouts");
-            Some(spawn(part, net.endpoint(pid)))
+            let mut node = Runtime::new(part, net.endpoint(pid));
+            node.start().expect("loopback send");
+            node
         })
         .collect();
 
     // Normal operation: a few ordered messages.
-    for (i, node) in nodes.iter().enumerate() {
-        node.as_ref()
-            .unwrap()
-            .submit(
-                Bytes::from(format!("pre-crash from P{i}")),
-                ServiceType::Agreed,
-            )
-            .unwrap();
+    for (i, node) in nodes.iter_mut().enumerate() {
+        node.submit(
+            Bytes::from(format!("pre-crash from P{i}")),
+            ServiceType::Agreed,
+        )
+        .unwrap();
     }
-    let mut delivered = vec![0usize; N as usize];
-    pump(&nodes, &mut delivered, N as usize, Duration::from_secs(10));
+    pump(&mut nodes, N as usize, Duration::from_secs(10));
     println!("phase 1: all {N} members delivered {} messages each", N);
 
-    // Crash P3 (drop its node; the loopback endpoint detaches).
+    // Crash P3 (drop its runtime; the loopback endpoint detaches).
     println!("\ncrashing P3...");
-    nodes[3] = None;
+    drop(nodes.pop());
 
     // The survivors detect token loss, gather, and install a 3-member
     // ring. Watch for the EVS configuration deliveries.
@@ -64,26 +66,23 @@ fn main() {
     let mut seen_regular = [false; 3];
     let mut seen_transitional = [false; 3];
     while seen_regular.iter().any(|&b| !b) && Instant::now() < deadline {
-        for (i, slot) in nodes.iter().enumerate().take(3) {
-            let node = slot.as_ref().unwrap();
-            while let Some(ev) = node.recv_event(Duration::from_millis(10)) {
-                if let AppEvent::ConfigChanged(c) = ev {
-                    match c.kind {
-                        ConfigChangeKind::Transitional => {
-                            println!(
-                                "P{i}: transitional configuration {:?}",
-                                c.members.iter().map(|p| p.to_string()).collect::<Vec<_>>()
-                            );
-                            seen_transitional[i] = true;
-                        }
-                        ConfigChangeKind::Regular => {
-                            println!(
-                                "P{i}: regular configuration      {:?}",
-                                c.members.iter().map(|p| p.to_string()).collect::<Vec<_>>()
-                            );
-                            assert_eq!(c.members.len(), 3, "survivor ring has 3 members");
-                            seen_regular[i] = true;
-                        }
+        for (i, ev) in step_all(&mut nodes) {
+            if let AppEvent::ConfigChanged(c) = ev {
+                match c.kind {
+                    ConfigChangeKind::Transitional => {
+                        println!(
+                            "P{i}: transitional configuration {:?}",
+                            c.members.iter().map(|p| p.to_string()).collect::<Vec<_>>()
+                        );
+                        seen_transitional[i] = true;
+                    }
+                    ConfigChangeKind::Regular => {
+                        println!(
+                            "P{i}: regular configuration      {:?}",
+                            c.members.iter().map(|p| p.to_string()).collect::<Vec<_>>()
+                        );
+                        assert_eq!(c.members.len(), 3, "survivor ring has 3 members");
+                        seen_regular[i] = true;
                     }
                 }
             }
@@ -96,51 +95,41 @@ fn main() {
     assert!(seen_transitional.iter().all(|&b| b));
 
     // The 3-member ring keeps ordering messages.
-    for (i, slot) in nodes.iter().enumerate().take(3) {
-        slot.as_ref()
-            .unwrap()
-            .submit(
-                Bytes::from(format!("post-crash from P{i}")),
-                ServiceType::Safe,
-            )
-            .unwrap();
+    for (i, node) in nodes.iter_mut().enumerate() {
+        node.submit(
+            Bytes::from(format!("post-crash from P{i}")),
+            ServiceType::Safe,
+        )
+        .unwrap();
     }
-    let mut delivered = vec![0usize; 3];
-    let survivors: Vec<Option<NodeHandle>> = Vec::new();
-    let _ = survivors; // (survivor pumping below uses the original vec)
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while delivered.iter().any(|&d| d < 3) && Instant::now() < deadline {
-        for (i, slot) in nodes.iter().enumerate().take(3) {
-            let node = slot.as_ref().unwrap();
-            while let Some(ev) = node.recv_event(Duration::from_millis(10)) {
-                if let AppEvent::Delivered(_) = ev {
-                    delivered[i] += 1;
-                }
-            }
-        }
-    }
+    let delivered = pump(&mut nodes, 3, Duration::from_secs(20));
     assert!(
         delivered.iter().all(|&d| d == 3),
         "survivors keep delivering: {delivered:?}"
     );
     println!("\nphase 2: the 3-member ring delivered 3 Safe messages at every survivor");
     println!("membership change handled: crash detected, ring re-formed, ordering resumed");
-
-    for slot in nodes.into_iter().flatten() {
-        slot.shutdown().expect("clean shutdown");
-    }
 }
 
-/// Pumps deliveries until every live node has `expect` of them.
-fn pump(nodes: &[Option<NodeHandle>], delivered: &mut [usize], expect: usize, timeout: Duration) {
+/// Steps every process once; returns their events by index.
+fn step_all(nodes: &mut [Node]) -> Vec<(usize, AppEvent)> {
+    let mut events = Vec::new();
+    for (i, node) in nodes.iter_mut().enumerate() {
+        let step = node.step_with_wait(Duration::ZERO).expect("loopback send");
+        events.extend(step.into_iter().map(|ev| (i, ev)));
+    }
+    events
+}
+
+/// Steps the ring until every node has delivered `expect` messages;
+/// returns the per-node delivery counts.
+fn pump(nodes: &mut [Node], expect: usize, timeout: Duration) -> Vec<usize> {
+    let mut delivered = vec![0; nodes.len()];
     let deadline = Instant::now() + timeout;
     while delivered.iter().any(|&d| d < expect) && Instant::now() < deadline {
-        for (i, slot) in nodes.iter().enumerate() {
-            let Some(node) = slot.as_ref() else { continue };
-            while let Some(ev) = node.recv_event(Duration::from_millis(10)) {
-                if let AppEvent::Delivered(_) = ev {
-                    delivered[i] += 1;
-                }
+        for (i, ev) in step_all(nodes) {
+            if let AppEvent::Delivered(_) = ev {
+                delivered[i] += 1;
             }
         }
     }
@@ -148,4 +137,5 @@ fn pump(nodes: &[Option<NodeHandle>], delivered: &mut [usize], expect: usize, ti
         delivered.iter().all(|&d| d >= expect),
         "not all nodes delivered {expect}: {delivered:?}"
     );
+    delivered
 }

@@ -1,15 +1,15 @@
 //! Quickstart: a five-process Accelerated Ring ordering messages.
 //!
-//! Each process runs on its own thread over an in-process transport.
-//! Three of them multicast concurrently; every process delivers exactly
-//! the same totally ordered sequence.
+//! Each process is a `Runtime` over an in-process transport, and one
+//! thread steps them round-robin. Three of them multicast concurrently;
+//! every process delivers exactly the same totally ordered sequence.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use std::time::{Duration, Instant};
 
 use accelerated_ring::core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType};
-use accelerated_ring::net::{spawn, AppEvent, LoopbackNet};
+use accelerated_ring::net::{AppEvent, LoopbackNet, Runtime};
 use bytes::Bytes;
 
 const N: u16 = 5;
@@ -22,19 +22,22 @@ fn main() {
 
     // Every participant gets the same member list; the representative
     // (P0) injects the first token when its node starts.
-    let nodes: Vec<_> = members
+    let mut nodes: Vec<_> = members
         .iter()
         .map(|&pid| {
             let part =
                 Participant::new(pid, ProtocolConfig::accelerated(), ring_id, members.clone())
                     .expect("valid ring");
-            spawn(part, net.endpoint(pid))
+            Runtime::new(part, net.endpoint(pid))
         })
         .collect();
+    for node in &mut nodes {
+        node.start().expect("loopback send");
+    }
 
     // Three senders multicast concurrently; Safe for the last message
     // of each sender, Agreed for the rest.
-    for (i, node) in nodes.iter().enumerate().take(3) {
+    for (i, node) in nodes.iter_mut().enumerate().take(3) {
         for k in 0..PER_SENDER {
             let service = if k == PER_SENDER - 1 {
                 ServiceType::Safe
@@ -51,8 +54,8 @@ fn main() {
     let mut logs: Vec<Vec<(u64, String)>> = vec![Vec::new(); N as usize];
     let deadline = Instant::now() + Duration::from_secs(20);
     while logs.iter().any(|l| l.len() < expected) && Instant::now() < deadline {
-        for (i, node) in nodes.iter().enumerate() {
-            while let Some(ev) = node.recv_event(Duration::from_millis(10)) {
+        for (i, node) in nodes.iter_mut().enumerate() {
+            for ev in node.step_with_wait(Duration::ZERO).expect("loopback send") {
                 if let AppEvent::Delivered(d) = ev {
                     logs[i].push((
                         d.seq.as_u64(),
@@ -71,8 +74,4 @@ fn main() {
         assert_eq!(log, &logs[0], "P{i} delivered a different sequence than P0");
     }
     println!("\nall {N} processes delivered the identical sequence of {expected} messages");
-
-    for node in nodes {
-        node.shutdown().expect("clean shutdown");
-    }
 }

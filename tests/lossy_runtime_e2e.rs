@@ -1,5 +1,6 @@
-//! Live-runtime resilience: a threaded ring over lossy transports,
-//! with real timers driving retransmissions. Verifies the protocol
+//! Live-runtime resilience: a ring of runtimes over lossy transports,
+//! stepped round-robin on one thread, with real timers driving
+//! retransmissions. Verifies the protocol
 //! delivers everything, identically ordered, despite 10% message loss.
 
 use std::time::{Duration, Instant};
@@ -7,7 +8,7 @@ use std::time::{Duration, Instant};
 use accelerated_ring::core::{
     Participant, ParticipantId, ProtocolConfig, RingId, ServiceType, TimeoutConfig,
 };
-use accelerated_ring::net::{spawn, AppEvent, ChaosConfig, ChaosTransport, LoopbackNet};
+use accelerated_ring::net::{AppEvent, ChaosConfig, ChaosTransport, LoopbackNet, Runtime};
 use bytes::Bytes;
 
 #[test]
@@ -24,7 +25,7 @@ fn lossy_ring_recovers_and_keeps_total_order() {
         commit: 60_000_000,
         token_retransmit_limit: 30,
     };
-    let nodes: Vec<_> = members
+    let mut nodes: Vec<_> = members
         .iter()
         .map(|&p| {
             let mut part =
@@ -35,12 +36,14 @@ fn lossy_ring_recovers_and_keeps_total_order() {
                 net.endpoint(p),
                 ChaosConfig::quiet(p.as_u16() as u64 + 99).with_loss(0.10),
             );
-            spawn(part, lossy)
+            let mut node = Runtime::new(part, lossy);
+            node.start().expect("start");
+            node
         })
         .collect();
 
     let per_sender = 25;
-    for (i, n) in nodes.iter().enumerate() {
+    for (i, n) in nodes.iter_mut().enumerate() {
         for k in 0..per_sender {
             let service = if k % 5 == 0 {
                 ServiceType::Safe
@@ -56,8 +59,8 @@ fn lossy_ring_recovers_and_keeps_total_order() {
     let mut logs: Vec<Vec<(u64, Bytes)>> = vec![Vec::new(); nodes.len()];
     let deadline = Instant::now() + Duration::from_secs(60);
     while logs.iter().any(|l| l.len() < expected) && Instant::now() < deadline {
-        for (i, n) in nodes.iter().enumerate() {
-            while let Some(ev) = n.recv_event(Duration::from_millis(5)) {
+        for (i, n) in nodes.iter_mut().enumerate() {
+            for ev in n.step_with_wait(Duration::ZERO).expect("step") {
                 if let AppEvent::Delivered(d) = ev {
                     logs[i].push((d.seq.as_u64(), d.payload));
                 }
@@ -72,8 +75,5 @@ fn lossy_ring_recovers_and_keeps_total_order() {
             log.len()
         );
         assert_eq!(log, &logs[0], "P{i} diverged from P0");
-    }
-    for n in nodes {
-        n.shutdown().expect("clean shutdown");
     }
 }

@@ -1,13 +1,14 @@
 //! Property tests for the service-tier client protocol: byte-exact
 //! round trips for arbitrary well-formed frames, and robustness (clean
-//! errors, never panics) under truncation, bit flips, and structure-
-//! aware mutation of valid encodings (the ar-explore mutator style).
+//! errors, never panics) under truncation, bit flips and byte soup.
+//! Structure-aware mutation of valid frames runs in the shared codec
+//! harness (`tests/codec_harness.rs`).
 
 use accelerated_ring::core::ServiceType;
 use accelerated_ring::daemon::MemberId;
 use accelerated_ring::svc::wire::{
-    decode_client, decode_server, encode_client, encode_server, frame, ClientFrame, FrameBuf,
-    ResumeToken, ServerFrame, PROTOCOL_VERSION,
+    decode_client, decode_server, encode_client, encode_server, ClientFrame, FrameBuf, ResumeToken,
+    ServerFrame, PROTOCOL_VERSION,
 };
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -210,136 +211,5 @@ proptest! {
         fb.extend(&bytes);
         // Drain until the extractor stalls or rejects; must terminate.
         while let Ok(Some(_)) = fb.next_frame() {}
-    }
-}
-
-/// Structure-aware mutation in the ar-explore style: a deterministic
-/// SplitMix64 stream drives splice/duplicate/overwrite mutations of
-/// valid frames, stressing the decoders well past single-bit damage.
-#[test]
-fn mutated_frames_never_panic() {
-    struct SplitMix64(u64);
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-    }
-    let seeds: Vec<Vec<u8>> = vec![
-        encode_client(&ClientFrame::Hello {
-            version: PROTOCOL_VERSION,
-            name: "fuzz".into(),
-            resume: None,
-        })
-        .to_vec(),
-        encode_client(&ClientFrame::Hello {
-            version: PROTOCOL_VERSION,
-            name: "fuzz-resume".into(),
-            resume: Some(ResumeToken {
-                session: 0x1234_5678_9abc_def0,
-                epoch: 5,
-                acked_through: 4096,
-            }),
-        })
-        .to_vec(),
-        encode_client(&ClientFrame::Goodbye).to_vec(),
-        encode_server(&ServerFrame::Welcome {
-            version: PROTOCOL_VERSION,
-            daemon: 1,
-            rings: 2,
-            publish_credits: 64,
-            delivery_window: 1024,
-            session: 0xfeed_f00d,
-            epoch: 3,
-            resumed: true,
-            retained_lo: 17,
-            retained_hi: 40,
-        })
-        .to_vec(),
-        encode_client(&ClientFrame::Publish {
-            id: 7,
-            service: ServiceType::Safe,
-            groups: vec!["a".into(), "b".into()],
-            payload: Bytes::from_static(b"payload-bytes"),
-        })
-        .to_vec(),
-        encode_server(&ServerFrame::Deliver {
-            seq: 3,
-            ring_seq: 99,
-            shard: 1,
-            service: ServiceType::Agreed,
-            sender: MemberId {
-                daemon: accelerated_ring::core::ParticipantId::new(2),
-                client: "c".into(),
-            },
-            groups: vec!["g".into()],
-            payload: Bytes::from_static(b"x"),
-        })
-        .to_vec(),
-        encode_server(&ServerFrame::CreditGrant {
-            acked_id: 12,
-            credits: 1,
-        })
-        .to_vec(),
-    ];
-    let mut rng = SplitMix64(0xa5c3_1e60_0000_0001);
-    for round in 0..20_000u32 {
-        let mut m = seeds[(rng.next() as usize) % seeds.len()].clone();
-        // 1-4 mutations per round.
-        for _ in 0..=(rng.next() % 4) {
-            if m.is_empty() {
-                break;
-            }
-            match rng.next() % 5 {
-                0 => {
-                    // Overwrite a byte.
-                    let i = (rng.next() as usize) % m.len();
-                    m[i] = rng.next() as u8;
-                }
-                1 => {
-                    // Truncate.
-                    m.truncate((rng.next() as usize) % (m.len() + 1));
-                }
-                2 => {
-                    // Duplicate a slice onto the end.
-                    let i = (rng.next() as usize) % m.len();
-                    let j = i + ((rng.next() as usize) % (m.len() - i));
-                    let slice = m[i..j].to_vec();
-                    m.extend_from_slice(&slice);
-                }
-                3 => {
-                    // Splice a chunk from another seed.
-                    let other = &seeds[(rng.next() as usize) % seeds.len()];
-                    let i = (rng.next() as usize) % other.len();
-                    let at = (rng.next() as usize) % (m.len() + 1);
-                    let tail = m.split_off(at);
-                    m.extend_from_slice(&other[i..]);
-                    m.extend_from_slice(&tail);
-                }
-                _ => {
-                    // Blast a u64 over a random offset (length-field
-                    // style damage).
-                    let i = (rng.next() as usize) % m.len();
-                    let v = rng.next().to_be_bytes();
-                    for (k, b) in v.iter().enumerate() {
-                        if i + k < m.len() {
-                            m[i + k] = *b;
-                        }
-                    }
-                }
-            }
-        }
-        let _ = decode_client(&m);
-        let _ = decode_server(&m);
-        let mut fb = FrameBuf::new();
-        fb.extend(&frame(&Bytes::from(m)));
-        while let Ok(Some(f)) = fb.next_frame() {
-            let _ = decode_client(&f);
-            let _ = decode_server(&f);
-        }
-        let _ = round;
     }
 }
