@@ -5,7 +5,8 @@
 //! problem at a different scale: one thread multiplexing thousands of
 //! client sockets plus a couple of listeners. This module exposes that
 //! ppoll loop as a reusable [`PollSet`]: register any `AsRawFd`
-//! descriptors, wait once, inspect per-descriptor readability.
+//! descriptors, wait once, inspect per-descriptor readability (and,
+//! for descriptors registered for it, writability).
 //!
 //! On non-Linux targets (where `crate::sys` is not compiled) the set
 //! degrades to a bounded sleep that reports every descriptor as
@@ -68,18 +69,33 @@ impl PollSet {
     /// Registers a descriptor for readability and returns its slot
     /// index (valid until the next [`clear`](PollSet::clear)).
     pub fn register(&mut self, fd: i32) -> usize {
+        self.push(fd, false)
+    }
+
+    /// Registers a descriptor for readability *and* writability: for a
+    /// socket whose outgoing bytes the kernel refused, so the wait ends
+    /// once it drains. Returns its slot as [`register`](PollSet::register)
+    /// does. Register writability only while something waits to be
+    /// written; an idle socket is always writable and would end every
+    /// wait at once.
+    pub fn register_read_write(&mut self, fd: i32) -> usize {
+        self.push(fd, true)
+    }
+
+    fn push(&mut self, fd: i32, writable: bool) -> usize {
         #[cfg(target_os = "linux")]
         {
+            use crate::sys::{POLLIN, POLLOUT};
             self.fds.push(crate::sys::PollFd {
                 fd,
-                events: crate::sys::POLLIN,
+                events: if writable { POLLIN | POLLOUT } else { POLLIN },
                 revents: 0,
             });
             self.fds.len() - 1
         }
         #[cfg(not(target_os = "linux"))]
         {
-            let _ = fd;
+            let _ = (fd, writable);
             self.len += 1;
             self.len - 1
         }
@@ -102,8 +118,9 @@ impl PollSet {
         self.len() == 0
     }
 
-    /// Waits until some registered descriptor is readable (or has an
-    /// error/hangup pending) or `timeout` elapses. Returns `true` when
+    /// Waits until some registered descriptor is ready for what it was
+    /// registered for (or has an error/hangup pending) or `timeout`
+    /// elapses. Returns `true` when
     /// at least one slot needs attention.
     ///
     /// # Errors
@@ -116,13 +133,13 @@ impl PollSet {
                 std::thread::sleep(timeout);
                 return Ok(false);
             }
-            crate::sys::poll_readable(&mut self.fds, timeout)
+            crate::sys::poll_ready(&mut self.fds, timeout)
         }
         #[cfg(not(target_os = "linux"))]
         {
             // Portable fallback: bounded sleep; every descriptor then
-            // reports readable and the caller's non-blocking reads sort
-            // out which ones actually have data.
+            // reports ready and the caller's non-blocking reads and
+            // writes sort out which ones actually are.
             std::thread::sleep(timeout.min(Duration::from_millis(5)));
             Ok(self.len > 0)
         }
@@ -134,12 +151,34 @@ impl PollSet {
     pub fn is_readable(&self, slot: usize) -> bool {
         #[cfg(target_os = "linux")]
         {
-            self.fds.get(slot).is_some_and(|fd| fd.revents != 0)
+            self.has(slot, crate::sys::POLLIN)
         }
         #[cfg(not(target_os = "linux"))]
         {
             slot < self.len
         }
+    }
+
+    /// True when the slot returned by
+    /// [`register_read_write`](PollSet::register_read_write) was
+    /// writable (or hung up / errored — states a write will surface)
+    /// at the last [`wait`](PollSet::wait).
+    pub fn is_writable(&self, slot: usize) -> bool {
+        #[cfg(target_os = "linux")]
+        {
+            self.has(slot, crate::sys::POLLOUT)
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            slot < self.len
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    fn has(&self, slot: usize, event: i16) -> bool {
+        self.fds
+            .get(slot)
+            .is_some_and(|fd| fd.revents & (event | crate::sys::POLLERR_HUP_NVAL) != 0)
     }
 }
 
@@ -311,6 +350,23 @@ mod tests {
 
         set.clear();
         assert!(set.is_empty());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn writable_interest_is_reported_apart_from_readability() {
+        let watched = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let idle = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut set = PollSet::new();
+        let rw_slot = set.register_read_write(watched.as_raw_fd());
+        let read_slot = set.register(idle.as_raw_fd());
+        let start = Instant::now();
+        assert!(set.wait(Duration::from_secs(5)).unwrap());
+        assert!(start.elapsed() < Duration::from_secs(1), "writable at once");
+        assert!(set.is_writable(rw_slot));
+        assert!(!set.is_readable(rw_slot), "writable is not readable");
+        assert!(!set.is_writable(read_slot), "no writable interest asked");
+        assert!(!set.is_readable(read_slot));
     }
 
     #[cfg(target_os = "linux")]

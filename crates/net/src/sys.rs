@@ -20,6 +20,11 @@ use std::time::Duration;
 
 /// `poll(2)` "readable" event bit.
 pub(crate) const POLLIN: i16 = 0x001;
+/// `poll(2)` "writable" event bit.
+pub(crate) const POLLOUT: i16 = 0x004;
+/// `poll(2)` error, hangup and invalid-descriptor bits: reported
+/// whatever was asked for, and surfaced by the next read or write.
+pub(crate) const POLLERR_HUP_NVAL: i16 = 0x008 | 0x010 | 0x020;
 
 /// `MSG_DONTWAIT`: per-call non-blocking receive.
 pub(crate) const MSG_DONTWAIT: i32 = 0x40;
@@ -142,14 +147,13 @@ pub(crate) fn raw_sockaddr(addr: &SocketAddr) -> RawSockAddr {
     }
 }
 
-/// Waits until one of `fds` is readable or `timeout` elapses. Returns
-/// `true` if any descriptor became ready, `false` on timeout. `EINTR`
-/// is retried with the remaining time.
-pub(crate) fn poll_readable(fds: &mut [PollFd], timeout: Duration) -> io::Result<bool> {
+/// Waits until one of `fds` is ready for the `events` it registered
+/// or `timeout` elapses. Returns `true` if any descriptor became ready,
+/// `false` on timeout. `EINTR` is retried with the remaining time.
+pub(crate) fn poll_ready(fds: &mut [PollFd], timeout: Duration) -> io::Result<bool> {
     let deadline = std::time::Instant::now() + timeout;
     loop {
         for fd in fds.iter_mut() {
-            fd.events = POLLIN;
             fd.revents = 0;
         }
         let remaining = deadline.saturating_duration_since(std::time::Instant::now());
@@ -256,7 +260,7 @@ mod tests {
             revents: 0,
         }];
         let start = std::time::Instant::now();
-        let ready = poll_readable(&mut fds, Duration::from_millis(20)).unwrap();
+        let ready = poll_ready(&mut fds, Duration::from_millis(20)).unwrap();
         assert!(!ready);
         assert!(start.elapsed() >= Duration::from_millis(15));
     }
@@ -271,7 +275,7 @@ mod tests {
             events: POLLIN,
             revents: 0,
         }];
-        let ready = poll_readable(&mut fds, Duration::from_secs(2)).unwrap();
+        let ready = poll_ready(&mut fds, Duration::from_secs(2)).unwrap();
         assert!(ready, "datagram makes the socket readable");
     }
 

@@ -662,7 +662,7 @@ impl UdpTransport {
                     pollfd(self.data_sock.as_raw_fd()),
                     pollfd(self.wake.as_ref().map_or(-1, WakeReceiver::fd)),
                 ];
-                sys::poll_readable(&mut fds, timeout)?;
+                sys::poll_ready(&mut fds, timeout)?;
                 let Some(wake) = self.wake.as_ref().filter(|_| fds[2].revents != 0) else {
                     return Ok(false);
                 };

@@ -34,7 +34,7 @@
 //! [`ResumePolicy::disabled`] to get the old fail-fast behavior.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -47,8 +47,8 @@ use ar_daemon::MemberId;
 use bytes::Bytes;
 
 use crate::wire::{
-    decode_server, encode_client, frame, ClientFrame, FrameBuf, ResumeToken, ServerFrame,
-    MAX_PUBLISH_BODY, PROTOCOL_VERSION,
+    decode_server, encode_client, frame, write_all_gathered, ClientFrame, FrameBuf, ResumeToken,
+    ServerFrame, MAX_PUBLISH_BODY, PROTOCOL_VERSION,
 };
 
 /// Events surfaced to the application.
@@ -191,6 +191,28 @@ impl ResumePolicy {
     }
 }
 
+impl Write for Sock {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Sock::Uds(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Sock::Uds(s) => s.write_vectored(bufs),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Target {
     Tcp(SocketAddr),
@@ -211,14 +233,6 @@ impl Sock {
             Sock::Tcp(s) => s.read(buf),
             #[cfg(unix)]
             Sock::Uds(s) => s.read(buf),
-        }
-    }
-
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.write_all(buf),
-            #[cfg(unix)]
-            Sock::Uds(s) => s.write_all(buf),
         }
     }
 
@@ -650,9 +664,7 @@ impl SvcClient {
             // ones.
             self.acked = self.unacked;
             let frames: Vec<Bytes> = self.unacked_pubs.values().cloned().collect();
-            for framed in frames {
-                self.write_now(&framed)?;
-            }
+            self.write_now(&frames)?;
         } else {
             // The session is gone (grace expired, server restarted, or
             // parking disabled): start over. Outcome of in-flight
@@ -672,11 +684,16 @@ impl SvcClient {
             self.delivery_window = h.delivery_window;
             self.unacked = 0;
             self.acked = 0;
-            let groups: Vec<String> = self.joined.iter().cloned().collect();
-            for group in groups {
-                let body = encode_client(&ClientFrame::JoinGroup { group });
-                self.write_now(&frame(&body))?;
-            }
+            let joins: Vec<Bytes> = self
+                .joined
+                .iter()
+                .map(|group| {
+                    frame(&encode_client(&ClientFrame::JoinGroup {
+                        group: group.clone(),
+                    }))
+                })
+                .collect();
+            self.write_now(&joins)?;
         }
         Ok(h.resumed)
     }
@@ -795,12 +812,12 @@ impl SvcClient {
     ///
     /// Propagates socket errors.
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        match self.write_now(bytes) {
+        match self.write_now(&[bytes]) {
             Ok(()) => Ok(()),
             Err(_) if self.policy.is_enabled() && self.evicted.is_none() => {
                 let resumed = self.reconnect()?;
                 if resumed {
-                    self.write_now(bytes)
+                    self.write_now(&[bytes])
                 } else {
                     Err(io::Error::new(
                         io::ErrorKind::ConnectionReset,
@@ -816,11 +833,13 @@ impl SvcClient {
         self.send_raw(&frame(&encode_client(f)))
     }
 
-    fn write_now(&mut self, bytes: &[u8]) -> io::Result<()> {
+    /// Writes `frames` in order, gathered into as few writes as the
+    /// socket allows.
+    fn write_now<B: AsRef<[u8]>>(&mut self, frames: &[B]) -> io::Result<()> {
         // Client-side frames are small; a blocking write keeps the API
         // simple (the kernel buffer absorbs them).
         self.sock.set_nonblocking(false)?;
-        let result = self.sock.write_all(bytes);
+        let result = write_all_gathered(&mut self.sock, frames);
         let _ = self.sock.set_nonblocking(true);
         result
     }
@@ -831,7 +850,7 @@ impl Drop for SvcClient {
         // A deliberate close must not leave a parked session pinning
         // group memberships for the grace period.
         if self.evicted.is_none() {
-            let _ = self.write_now(&frame(&encode_client(&ClientFrame::Goodbye)));
+            let _ = self.write_now(&[frame(&encode_client(&ClientFrame::Goodbye))]);
         }
     }
 }

@@ -7,21 +7,24 @@
 //! the batched UDP datapath uses, at client-count scale. The loop:
 //!
 //! 1. polls listeners, client sockets and one wake descriptor for
-//!    readability. Daemon events arrive on channels, not fds, so every
-//!    session is registered at its daemon with the tier's
-//!    [`ar_net::Waker`]: a ring thread that queued events signals it
-//!    once per dispatch batch and the pass below runs tens of µs after
-//!    the delivery. The 2 ms poll timeout remains as the housekeeping
-//!    tick, for everything no descriptor announces: retrying a partial
-//!    write, releasing deferred credits once ring pressure drops, park
-//!    expiry and the stop flag;
+//!    readability, and a client socket the kernel refused bytes on for
+//!    writability too, so its backlog resumes as soon as it drains.
+//!    Daemon events arrive on channels, not fds, so every session is
+//!    registered at its daemon with the tier's [`ar_net::Waker`]: a
+//!    ring thread that queued events signals it once per dispatch batch
+//!    and the pass below runs tens of µs after the delivery. The 2 ms
+//!    poll timeout remains as the housekeeping tick, for everything no
+//!    descriptor announces: releasing deferred credits once ring
+//!    pressure drops, park expiry and the stop flag;
 //! 2. accepts new connections (refusing past `max_clients`);
 //! 3. reads frames from the sockets the poll reported, handling
 //!    Hello/Join/Leave/Publish/Ack/Goodbye;
 //! 4. drains each session's daemon events into window-gated delivery
 //!    queues and credit grants, then forwards the publishes the
 //!    sessions' publish gates release;
-//! 5. flushes write buffers and evicts slow consumers per policy.
+//! 5. flushes write buffers — every frame a connection has queued goes
+//!    out in one gathered write ([`WriteBuf::flush`]) — and evicts slow
+//!    consumers per policy.
 //!
 //! Backpressure is end-to-end: each daemon loop publishes its ring
 //! send-queue depth into [`ar_daemon::RingPressure`]; while *any*
@@ -65,7 +68,7 @@
 //! stamp.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -87,8 +90,8 @@ use bytes::Bytes;
 
 use crate::credit::{DedupWindow, EvictReason, FlowConfig, FlowState, Offer, PublishGate};
 use crate::wire::{
-    decode_client, encode_server, frame, try_frame, ClientFrame, FrameBuf, ResumeToken,
-    ServerFrame, PROTOCOL_VERSION,
+    decode_client, frame_server, ClientFrame, FrameBuf, ResumeToken, ServerFrame, MAX_IOV,
+    PROTOCOL_VERSION,
 };
 
 /// Service-tier tuning.
@@ -151,6 +154,10 @@ pub struct SvcStats {
     pub publishes: Counter,
     /// Deliveries written to client sockets.
     pub deliveries: Counter,
+    /// Vectored writes issued to client sockets (including ones the
+    /// kernel refused with WouldBlock): frames per write is deliveries
+    /// plus grants plus control frames, over this.
+    pub write_calls: Counter,
     /// Handshakes refused (capacity, bad name, version mismatch).
     pub refused: Counter,
     /// Join/leave requests rejected (reported via GroupRejected).
@@ -208,6 +215,10 @@ impl SvcStats {
             deliveries: hub.registry.counter(
                 "ar_svc_deliveries_total",
                 "Ordered deliveries written to client sockets",
+            ),
+            write_calls: hub.registry.counter(
+                "ar_svc_write_calls_total",
+                "Vectored writes issued to client sockets (one gathers every queued frame)",
             ),
             refused: hub.registry.counter(
                 "ar_svc_refused_total",
@@ -490,14 +501,6 @@ impl Sock {
         }
     }
 
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Sock::Uds(s) => s.write(buf),
-        }
-    }
-
     fn shutdown(&self) {
         match self {
             Sock::Tcp(s) => {
@@ -511,7 +514,29 @@ impl Sock {
     }
 }
 
-/// Bounded outgoing byte queue with partial-write tracking.
+impl Write for Sock {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Sock::Uds(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Sock::Uds(s) => s.write_vectored(bufs),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Bounded outgoing frame queue with partial-write tracking.
 #[derive(Debug, Default)]
 struct WriteBuf {
     queue: VecDeque<Bytes>,
@@ -530,26 +555,45 @@ impl WriteBuf {
         self.total
     }
 
-    /// Writes as much as the socket accepts. Returns `Ok(true)` when
-    /// drained, `Ok(false)` on WouldBlock.
-    fn flush(&mut self, sock: &mut Sock) -> io::Result<bool> {
-        while let Some(front) = self.queue.front() {
-            match sock.write(&front[self.offset..]) {
+    /// Writes as much as `w` accepts, handing it every queued frame
+    /// (from `offset` into the front one, at most [`MAX_IOV`] per call)
+    /// as one vectored write, until drained or WouldBlock. Returns
+    /// `Ok(true)` when drained, `Ok(false)` on WouldBlock; counts each
+    /// write issued in `writes`.
+    fn flush<W: Write>(&mut self, w: &mut W, writes: &Counter) -> io::Result<bool> {
+        while !self.queue.is_empty() {
+            let iov: Vec<IoSlice<'_>> = self
+                .queue
+                .iter()
+                .take(MAX_IOV)
+                .enumerate()
+                .map(|(i, b)| IoSlice::new(if i == 0 { &b[self.offset..] } else { b }))
+                .collect();
+            writes.add(1);
+            match w.write_vectored(&iov) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.offset += n;
-                    self.total -= n;
-                    if self.offset == front.len() {
-                        self.queue.pop_front();
-                        self.offset = 0;
-                    }
-                }
+                Ok(n) => self.advance(n),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
         Ok(true)
+    }
+
+    /// Drops `n` written bytes off the front, across frame boundaries.
+    fn advance(&mut self, mut n: usize) {
+        self.total -= n;
+        while let Some(front) = self.queue.front() {
+            let left = front.len() - self.offset;
+            if n < left {
+                self.offset += n;
+                return;
+            }
+            n -= left;
+            self.queue.pop_front();
+            self.offset = 0;
+        }
     }
 }
 
@@ -663,7 +707,7 @@ struct Conn {
 /// Queues a frame on a write buffer (free function so callers holding
 /// other borrows can still reach the disjoint `wbuf` field).
 fn push_frame(wbuf: &mut WriteBuf, frame_body: &ServerFrame) {
-    wbuf.push(frame(&encode_server(frame_body)));
+    wbuf.push(frame_server(frame_body).expect("control frames stay far below MAX_FRAME"));
 }
 
 /// Condemns a session and the live connection carrying it, if any,
@@ -743,7 +787,7 @@ impl Server {
                     reason: "server shutting down".into(),
                 },
             );
-            let _ = conn.wbuf.flush(&mut conn.sock);
+            let _ = conn.wbuf.flush(&mut conn.sock, &self.stats.write_calls);
             conn.sock.shutdown();
         }
         self.stats.connected.set(0);
@@ -756,7 +800,8 @@ impl Server {
     /// client socket; the accept and read passes consume the slots it
     /// records. A ring thread's wake ends the wait as soon as daemon
     /// events are queued (they arrive on channels the poll cannot
-    /// watch); the timeout is the housekeeping tick.
+    /// watch); so does a backed-up socket draining. The timeout is the
+    /// housekeeping tick.
     fn poll_sockets(&mut self) -> io::Result<()> {
         self.poll.clear();
         self.poll.register(self.wake_rx.fd());
@@ -770,7 +815,13 @@ impl Server {
             self.uds_slot = Some(self.poll.register(l.as_raw_fd()));
         }
         for conn in self.conns.values_mut() {
-            conn.slot = Some(self.poll.register(conn.sock.fd()));
+            // Bytes still queued here means the last flush met
+            // WouldBlock: watch for the socket draining.
+            let fd = conn.sock.fd();
+            conn.slot = Some(match conn.wbuf.len() {
+                0 => self.poll.register(fd),
+                _ => self.poll.register_read_write(fd),
+            });
         }
         let ready = self.poll.wait(Duration::from_millis(2))?;
         // Disarm before the event queues are drained: a wake that
@@ -820,10 +871,11 @@ impl Server {
             let Some(mut sock) = sock else { return };
             if self.conns.len() >= self.config.max_clients {
                 // Best-effort refusal; the socket closes either way.
-                let body = encode_server(&ServerFrame::Refused {
+                let refused = frame_server(&ServerFrame::Refused {
                     reason: "server at capacity".into(),
-                });
-                let _ = sock.write(&frame(&body));
+                })
+                .expect("control frames stay far below MAX_FRAME");
+                let _ = sock.write(&refused);
                 sock.shutdown();
                 self.stats.refused.add(1);
                 continue;
@@ -1482,7 +1534,7 @@ impl Server {
             let mut sent = 0u64;
             while let Some(p) = sess.flow.next_sendable() {
                 let b = p.item;
-                let body = encode_server(&ServerFrame::Deliver {
+                let framed = frame_server(&ServerFrame::Deliver {
                     seq: p.seq,
                     ring_seq: b.ring_seq,
                     shard: b.shard,
@@ -1491,7 +1543,7 @@ impl Server {
                     groups: b.groups,
                     payload: b.payload,
                 });
-                match try_frame(&body) {
+                match framed {
                     Ok(framed) => {
                         conn.wbuf.push(framed.clone());
                         sess.retained_bytes += framed.len();
@@ -1522,7 +1574,7 @@ impl Server {
             if conn.wbuf.len() == 0 {
                 continue;
             }
-            match conn.wbuf.flush(&mut conn.sock) {
+            match conn.wbuf.flush(&mut conn.sock, &stats.write_calls) {
                 Ok(_) => {
                     if conn.dead {
                         continue;
@@ -1570,7 +1622,7 @@ impl Server {
                 continue;
             };
             // Last chance for the Evicted frame to reach the peer.
-            let _ = conn.wbuf.flush(&mut conn.sock);
+            let _ = conn.wbuf.flush(&mut conn.sock, &self.stats.write_calls);
             conn.sock.shutdown();
             let Some(sid) = conn.session else { continue };
             let Some(sess) = self.sessions.get_mut(&sid) else {
@@ -1647,5 +1699,190 @@ impl Server {
         }
         self.stats.sessions_parked.set(parked);
         self.stats.retained_bytes.set(retained);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A socket stand-in that plays a script, one step per write:
+    /// `Some(n)` accepts up to `n` bytes gathered across the slices,
+    /// `None` is WouldBlock. Past the script it accepts everything.
+    struct Scripted {
+        script: VecDeque<Option<usize>>,
+        out: Vec<u8>,
+    }
+
+    impl Scripted {
+        fn new(script: &[Option<usize>]) -> Scripted {
+            Scripted {
+                script: script.iter().copied().collect(),
+                out: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            assert!(bufs.len() <= MAX_IOV, "{} slices: EINVAL", bufs.len());
+            let mut room = match self.script.pop_front() {
+                Some(None) => return Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(n)) => n,
+                None => usize::MAX,
+            };
+            let before = self.out.len();
+            for b in bufs {
+                let take = b.len().min(room);
+                self.out.extend_from_slice(&b[..take]);
+                room -= take;
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn queued(frames: &[&[u8]]) -> (WriteBuf, Vec<u8>) {
+        let mut wbuf = WriteBuf::default();
+        for f in frames {
+            wbuf.push(Bytes::copy_from_slice(f));
+        }
+        (wbuf, frames.concat())
+    }
+
+    /// Flushes once against `script`, then once against a socket that
+    /// takes everything; returns what the first flush left owed.
+    fn flush_twice(frames: &[&[u8]], script: &[Option<usize>]) -> usize {
+        let (mut wbuf, want) = queued(frames);
+        let mut sock = Scripted::new(script);
+        let writes = Counter::default();
+        assert!(
+            !wbuf.flush(&mut sock, &writes).unwrap(),
+            "script ends blocked"
+        );
+        let owed = wbuf.len();
+        assert_eq!(owed, want.len() - sock.out.len());
+        assert!(wbuf.flush(&mut sock, &writes).unwrap());
+        assert_eq!(sock.out, want);
+        assert_eq!(wbuf.len(), 0);
+        owed
+    }
+
+    const A: &[u8] = b"\0\0\0\x03abc";
+    const B: &[u8] = b"\0\0\0\x02de";
+    const C: &[u8] = b"\0\0\0\x04fghi";
+
+    #[test]
+    fn would_block_keeps_every_byte() {
+        assert_eq!(flush_twice(&[A, B], &[None]), A.len() + B.len());
+    }
+
+    #[test]
+    fn one_byte_then_would_block() {
+        assert_eq!(
+            flush_twice(&[A, B], &[Some(1), None]),
+            A.len() + B.len() - 1
+        );
+    }
+
+    #[test]
+    fn split_inside_a_length_prefix() {
+        let owed = flush_twice(&[A, B], &[Some(A.len() + 2), None]);
+        assert_eq!(owed, B.len() - 2);
+    }
+
+    #[test]
+    fn split_at_an_exact_frame_boundary() {
+        let (mut wbuf, _) = queued(&[A, B, C]);
+        let mut sock = Scripted::new(&[Some(A.len()), None]);
+        assert!(!wbuf.flush(&mut sock, &Counter::default()).unwrap());
+        assert_eq!((wbuf.queue.len(), wbuf.offset), (2, 0));
+        assert_eq!(
+            flush_twice(&[A, B, C], &[Some(A.len()), None]),
+            B.len() + C.len()
+        );
+    }
+
+    #[test]
+    fn split_across_several_frames() {
+        let (mut wbuf, _) = queued(&[A, B, C]);
+        let mut sock = Scripted::new(&[Some(A.len() + B.len() + 1), None]);
+        assert!(!wbuf.flush(&mut sock, &Counter::default()).unwrap());
+        assert_eq!((wbuf.queue.len(), wbuf.offset), (1, 1));
+        let script = [Some(A.len() + 2), Some(B.len()), None];
+        assert_eq!(flush_twice(&[A, B, C], &script), C.len() - 2);
+    }
+
+    #[test]
+    fn one_write_carries_every_queued_frame() {
+        let (mut wbuf, want) = queued(&[A, B, C]);
+        let mut sock = Scripted::new(&[]);
+        let writes = Counter::default();
+        assert!(wbuf.flush(&mut sock, &writes).unwrap());
+        assert_eq!(sock.out, want);
+        assert_eq!(writes.get(), 1);
+    }
+
+    #[test]
+    fn more_frames_than_the_slice_cap_drain() {
+        let frames: Vec<[u8; 5]> = (0..5000u32).map(|i| [0, 0, 0, 1, i as u8]).collect();
+        let refs: Vec<&[u8]> = frames.iter().map(|f| &f[..]).collect();
+        let (mut wbuf, want) = queued(&refs);
+        let mut sock = Scripted::new(&[]);
+        let writes = Counter::default();
+        assert!(wbuf.flush(&mut sock, &writes).unwrap());
+        assert_eq!(sock.out, want);
+        assert_eq!(writes.get(), 5000_u64.div_ceil(MAX_IOV as u64));
+    }
+
+    #[test]
+    fn a_refusing_socket_is_an_error() {
+        struct Zero;
+        impl Write for Zero {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let (mut wbuf, _) = queued(&[A]);
+        let err = wbuf.flush(&mut Zero, &Counter::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(wbuf.len(), A.len());
+    }
+
+    proptest! {
+        /// Whatever the short-write schedule, the socket sees exactly
+        /// the frames' concatenation in order, and `len()` is the bytes
+        /// still owed after every call.
+        #[test]
+        fn any_short_write_schedule_delivers_the_concatenation(
+            frames in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..40), 0..40),
+            script in prop::collection::vec(prop::option::of(1..64usize), 0..60),
+        ) {
+            let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+            let (mut wbuf, want) = queued(&refs);
+            let mut sock = Scripted::new(&script);
+            let writes = Counter::default();
+            loop {
+                let drained = wbuf.flush(&mut sock, &writes).unwrap();
+                prop_assert_eq!(wbuf.len(), want.len() - sock.out.len());
+                prop_assert_eq!(&sock.out[..], &want[..sock.out.len()]);
+                if drained {
+                    break;
+                }
+            }
+            prop_assert_eq!(sock.out, want);
+            prop_assert!(wbuf.queue.is_empty());
+        }
     }
 }

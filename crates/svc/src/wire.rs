@@ -12,7 +12,7 @@
 //! publish ids, per-connection delivery sequence numbers for window
 //! acking, credit grants, and eviction notices.
 
-use std::io;
+use std::io::{self, IoSlice, Write};
 
 use ar_core::codec::Reader;
 use ar_core::{ParticipantId, ServiceType};
@@ -383,6 +383,52 @@ pub fn decode_client(buf: &[u8]) -> io::Result<ClientFrame> {
 /// Encodes a server frame (without the length prefix).
 pub fn encode_server(frame: &ServerFrame) -> Bytes {
     let mut buf = BytesMut::new();
+    put_server(&mut buf, frame);
+    buf.freeze()
+}
+
+/// Encodes a server frame straight into a length-prefixed buffer: the
+/// bytes of `frame(&encode_server(f))` with one allocation and one
+/// copy fewer. The prefix is reserved, the body encoded behind it, and
+/// the prefix patched once the body length is known.
+///
+/// # Errors
+///
+/// Returns `InvalidData` when the body exceeds [`MAX_FRAME`] (every
+/// peer's [`FrameBuf`] would reject it).
+pub fn frame_server(frame: &ServerFrame) -> io::Result<Bytes> {
+    let mut buf = BytesMut::with_capacity(4 + body_len_hint(frame));
+    buf.put_u32(0);
+    put_server(&mut buf, frame);
+    let body = buf.len() - 4;
+    if body > MAX_FRAME {
+        return Err(bad("frame body exceeds MAX_FRAME"));
+    }
+    buf[..4].copy_from_slice(&(body as u32).to_be_bytes());
+    Ok(buf.freeze())
+}
+
+/// The encoded body length of a Deliver (exact: it carries the bulk of
+/// the bytes); a small guess for every other frame.
+fn body_len_hint(frame: &ServerFrame) -> usize {
+    match frame {
+        ServerFrame::Deliver {
+            sender,
+            groups,
+            payload,
+            ..
+        } => {
+            // Kind, seq, ring_seq, shard, service, sender daemon, three
+            // length fields (sender name, group count, payload).
+            30 + sender.client.len()
+                + groups.iter().map(|g| 2 + g.len()).sum::<usize>()
+                + payload.len()
+        }
+        _ => 64,
+    }
+}
+
+fn put_server(buf: &mut BytesMut, frame: &ServerFrame) {
     match frame {
         ServerFrame::Welcome {
             version,
@@ -410,7 +456,7 @@ pub fn encode_server(frame: &ServerFrame) -> Bytes {
         }
         ServerFrame::Refused { reason } => {
             buf.put_u8(2);
-            put_str(&mut buf, reason);
+            put_str(buf, reason);
         }
         ServerFrame::Deliver {
             seq,
@@ -427,21 +473,21 @@ pub fn encode_server(frame: &ServerFrame) -> Bytes {
             buf.put_u16(*shard);
             buf.put_u8(service.as_u8());
             buf.put_u16(sender.daemon.as_u16());
-            put_str(&mut buf, &sender.client);
+            put_str(buf, &sender.client);
             buf.put_u16(groups.len() as u16);
             for g in groups {
-                put_str(&mut buf, g);
+                put_str(buf, g);
             }
             buf.put_u32(payload.len() as u32);
             buf.put_slice(payload);
         }
         ServerFrame::Membership { group, members } => {
             buf.put_u8(4);
-            put_str(&mut buf, group);
+            put_str(buf, group);
             buf.put_u16(members.len() as u16);
             for m in members {
                 buf.put_u16(m.daemon.as_u16());
-                put_str(&mut buf, &m.client);
+                put_str(buf, &m.client);
             }
         }
         ServerFrame::NetworkChange { daemons } => {
@@ -459,11 +505,11 @@ pub fn encode_server(frame: &ServerFrame) -> Bytes {
         ServerFrame::PublishReject { id, reason } => {
             buf.put_u8(7);
             buf.put_u64(*id);
-            put_str(&mut buf, reason);
+            put_str(buf, reason);
         }
         ServerFrame::Evicted { reason } => {
             buf.put_u8(8);
-            put_str(&mut buf, reason);
+            put_str(buf, reason);
         }
         ServerFrame::GroupRejected {
             join,
@@ -472,11 +518,10 @@ pub fn encode_server(frame: &ServerFrame) -> Bytes {
         } => {
             buf.put_u8(9);
             buf.put_u8(u8::from(*join));
-            put_str(&mut buf, group);
-            put_str(&mut buf, reason);
+            put_str(buf, group);
+            put_str(buf, reason);
         }
     }
-    buf.freeze()
 }
 
 /// Decodes a server frame.
@@ -551,9 +596,8 @@ pub fn decode_server(buf: &[u8]) -> io::Result<ServerFrame> {
 ///
 /// Debug builds assert the [`MAX_FRAME`] bound — a frame above it
 /// would be rejected by every peer's [`FrameBuf`] (and a body above
-/// `u32::MAX` would silently truncate the prefix). Callers that can
-/// legitimately see oversized bodies (payloads near the cap plus
-/// header overhead) must use [`try_frame`] instead.
+/// `u32::MAX` would silently truncate the prefix). The server frames
+/// with [`frame_server`], which returns an error instead.
 pub fn frame(body: &[u8]) -> Bytes {
     debug_assert!(
         body.len() <= MAX_FRAME,
@@ -566,17 +610,35 @@ pub fn frame(body: &[u8]) -> Bytes {
     buf.freeze()
 }
 
-/// As [`frame`], but returns an error for bodies above [`MAX_FRAME`]
-/// instead of producing a frame every peer rejects.
+/// Most slices handed to one `writev(2)`: Linux's `IOV_MAX`, above
+/// which the call fails with `EINVAL`.
+pub(crate) const MAX_IOV: usize = 1024;
+
+/// Writes `frames` back to back with as few gathered writes as the
+/// socket allows (one, for a blocking socket with room), resuming
+/// inside a frame after a short write.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` when the body exceeds the bound.
-pub fn try_frame(body: &[u8]) -> io::Result<Bytes> {
-    if body.len() > MAX_FRAME {
-        return Err(bad("frame body exceeds MAX_FRAME"));
+/// Propagates the first write error; `WriteZero` when the socket
+/// accepts nothing.
+pub(crate) fn write_all_gathered<W: Write, B: AsRef<[u8]>>(
+    w: &mut W,
+    frames: &[B],
+) -> io::Result<()> {
+    for chunk in frames.chunks(MAX_IOV) {
+        let mut iov: Vec<IoSlice<'_>> = chunk.iter().map(|f| IoSlice::new(f.as_ref())).collect();
+        let mut rest = &mut iov[..];
+        while !rest.is_empty() {
+            match w.write_vectored(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
-    Ok(frame(body))
+    Ok(())
 }
 
 /// Incremental frame extraction from a growing byte stream.
@@ -818,9 +880,75 @@ mod tests {
     }
 
     #[test]
-    fn try_frame_enforces_the_bound() {
-        assert!(try_frame(&[0u8; 16]).is_ok());
-        let big = vec![0u8; MAX_FRAME + 1];
-        assert!(try_frame(&big).is_err());
+    fn frame_server_is_frame_of_encode_server() {
+        for f in server_frames() {
+            assert_eq!(
+                frame_server(&f).unwrap(),
+                frame(&encode_server(&f)),
+                "{f:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn frame_server_rejects_a_body_above_max_frame() {
+        let deliver = |len: usize| ServerFrame::Deliver {
+            seq: 1,
+            ring_seq: 1,
+            shard: 0,
+            service: ServiceType::Agreed,
+            sender: MemberId::new(ParticipantId::new(0), "a"),
+            groups: vec!["g".into()],
+            payload: Bytes::from(vec![0u8; len]),
+        };
+        // Header: 30 bytes plus the one-byte sender and one group of one.
+        let header = 30 + 1 + 3;
+        let at_cap = frame_server(&deliver(MAX_FRAME - header)).unwrap();
+        assert_eq!(at_cap.len(), 4 + MAX_FRAME);
+        assert_eq!(&at_cap[..4], &(MAX_FRAME as u32).to_be_bytes());
+        assert!(frame_server(&deliver(MAX_FRAME - header + 1)).is_err());
+    }
+
+    /// Accepts at most `step` bytes per call, gathering across slices.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            assert!(bufs.len() <= MAX_IOV, "{} slices", bufs.len());
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.step - n);
+                self.out.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn gathered_writes_resume_inside_frames_and_past_the_slice_cap() {
+        let frames: Vec<Bytes> = (0..MAX_IOV as u32 * 2 + 7)
+            .map(|i| frame(&i.to_be_bytes()[..1 + i as usize % 4]))
+            .collect();
+        let want: Vec<u8> = frames.concat();
+        for step in [1, 3, 4096, usize::MAX / 2] {
+            let mut w = Trickle {
+                out: Vec::new(),
+                step,
+            };
+            write_all_gathered(&mut w, &frames).unwrap();
+            assert_eq!(w.out, want, "step {step}");
+        }
     }
 }

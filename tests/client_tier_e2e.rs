@@ -6,7 +6,8 @@
 //! releases as messages reach Agreed order, and a deliberately slow
 //! consumer that is evicted by policy without perturbing healthy
 //! clients — and that a delivery reaches the tier's loop through the
-//! ring thread's wake, not its 2 ms tick.
+//! ring thread's wake, and a backed-up client's backlog through its
+//! socket draining, not the tier's 2 ms tick.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -15,6 +16,8 @@ use std::time::{Duration, Instant};
 use accelerated_ring::core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType};
 use accelerated_ring::daemon::{spawn_daemon, DaemonHandle};
 use accelerated_ring::net::LoopbackNet;
+#[cfg(target_os = "linux")]
+use accelerated_ring::svc::SvcStats;
 use accelerated_ring::svc::{
     serve_clients, FlowConfig, PublishError, SvcClient, SvcConfig, SvcEvent, SvcListeners,
 };
@@ -430,4 +433,101 @@ fn deliveries_wake_the_tier_instead_of_waiting_for_its_tick() {
     drop(publisher);
     svc_a.shutdown().expect("clean shutdown a");
     svc_b.shutdown().expect("clean shutdown b");
+}
+
+/// Counts of the tier's loop passes by cause.
+#[cfg(target_os = "linux")]
+fn passes(stats: &SvcStats) -> [u64; 3] {
+    [
+        stats.passes_socket.get(),
+        stats.passes_tick.get(),
+        stats.passes_wake.get(),
+    ]
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_backed_up_client_resumes_when_its_socket_drains() {
+    const MSGS: usize = 256;
+    const PAYLOAD: usize = 32 * 1024;
+    let (_net, daemon) = single_daemon();
+    let path = std::env::temp_dir().join(format!("ar-svc-drain-{}.sock", std::process::id()));
+    // A Unix stream socket holds a few hundred KiB in flight, so the
+    // 8 MiB backlog refills it dozens of times.
+    let config = SvcConfig {
+        flow: FlowConfig {
+            publish_credits: 64,
+            delivery_window: MSGS as u32,
+            max_pending: MSGS,
+            max_write_buffer: 64 << 20,
+        },
+        ..SvcConfig::default()
+    };
+    let listeners = SvcListeners {
+        tcp: None,
+        uds: Some(path.clone()),
+    };
+    let svc = serve_clients(&daemon, listeners, config).expect("service tier");
+
+    // The subscriber never acks, so it sends nothing once it has
+    // joined: no pass below is caused by its socket turning readable.
+    let mut sub = SvcClient::connect_uds(&path, "sub").expect("connect sub");
+    sub.set_auto_ack(false);
+    sub.join("g").expect("join");
+    wait_for_members(&mut sub, "g", 1);
+    let mut publisher = SvcClient::connect_uds(&path, "pub").expect("connect pub");
+    let payload = Bytes::from(vec![7u8; PAYLOAD]);
+    for _ in 0..MSGS {
+        publisher
+            .publish(&["g"], ServiceType::Agreed, payload.clone(), DEADLINE)
+            .expect("publish");
+    }
+    // Every delivery queued at the subscriber's connection, almost all
+    // of them behind a full socket; then the tier idles.
+    let stats = svc.stats();
+    let deadline = Instant::now() + DEADLINE;
+    while stats.deliveries.get() < MSGS as u64 {
+        assert!(Instant::now() < deadline, "deliveries never queued");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut ordered = 0;
+    while ordered < MSGS {
+        assert!(Instant::now() < deadline, "publisher missing grants");
+        if let Some(SvcEvent::PublishOrdered { .. }) = publisher.recv(Duration::from_millis(50)) {
+            ordered += 1;
+        }
+    }
+    std::thread::sleep(Duration::from_millis(20));
+
+    // The subscriber reads again. Each refill of its socket must come
+    // from a pass its draining socket started, not from the tick: at
+    // one tick per refill the backlog would trickle in 2 ms apart.
+    let before = passes(stats);
+    let mut got = 0;
+    while got < MSGS {
+        assert!(
+            Instant::now() < deadline,
+            "backlog stalled at {got} of {MSGS}"
+        );
+        match sub.recv(Duration::from_millis(100)) {
+            Some(SvcEvent::Deliver { payload, .. }) => {
+                assert_eq!(payload.len(), PAYLOAD);
+                got += 1;
+            }
+            Some(SvcEvent::Evicted { reason }) => panic!("subscriber evicted: {reason}"),
+            _ => {}
+        }
+    }
+    let after = passes(stats);
+    let [socket, tick, wake] = [0, 1, 2].map(|i| after[i] - before[i]);
+    eprintln!("drain passes: socket {socket}, tick {tick}, wake {wake}");
+    assert!(
+        socket >= 8 && socket > 4 * tick,
+        "{socket} socket passes and {tick} ticks: the backlog waited for the tick"
+    );
+    assert_eq!(stats.evicted.get(), 0);
+
+    drop(sub);
+    drop(publisher);
+    svc.shutdown().expect("clean shutdown");
 }

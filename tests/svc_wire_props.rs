@@ -7,8 +7,8 @@
 use accelerated_ring::core::ServiceType;
 use accelerated_ring::daemon::MemberId;
 use accelerated_ring::svc::wire::{
-    decode_client, decode_server, encode_client, encode_server, ClientFrame, FrameBuf, ResumeToken,
-    ServerFrame, PROTOCOL_VERSION,
+    decode_client, decode_server, encode_client, encode_server, frame, frame_server, ClientFrame,
+    FrameBuf, ResumeToken, ServerFrame, PROTOCOL_VERSION,
 };
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -160,6 +160,13 @@ proptest! {
         let back = decode_server(&bytes).expect("well-formed frame decodes");
         prop_assert_eq!(&back, &f);
         prop_assert_eq!(encode_server(&back), bytes);
+    }
+
+    /// Encoding straight behind the length prefix yields the bytes of
+    /// framing the separately encoded body.
+    #[test]
+    fn frame_server_matches_frame_of_encode_server(f in arb_server_frame()) {
+        prop_assert_eq!(frame_server(&f).expect("small frame"), frame(&encode_server(&f)));
     }
 
     /// Every truncation of a valid frame errors instead of panicking
