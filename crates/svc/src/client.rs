@@ -7,8 +7,25 @@
 //! [`try_publish`](SvcClient::try_publish) fails fast when the window
 //! is exhausted, [`publish`](SvcClient::publish) waits for a credit.
 //!
-//! Delivery acking is automatic by default (every pumped Deliver is
-//! acked on the next pump); turn it off with
+//! ## Corked sends
+//!
+//! [`try_publish`](SvcClient::try_publish) makes no system call: it
+//! queues the framed publish in the client's write buffer. The queue
+//! goes out, every frame of it in one non-blocking gathered write, at
+//! the next [`pump`](SvcClient::pump) (after its reads, with the
+//! delivery ack behind the publishes), [`flush`](SvcClient::flush),
+//! blocking [`publish`](SvcClient::publish) or drop. A caller of
+//! `try_publish` must therefore pump or flush; a loop that pumps every
+//! sweep sends each sweep's publishes as one segment, which the tier
+//! reads in one call. [`join`](SvcClient::join),
+//! [`leave`](SvcClient::leave), [`ack`](SvcClient::ack) and
+//! [`send_raw`](SvcClient::send_raw) queue behind any pending publishes
+//! and write at once, so frames reach the wire in call order. A write
+//! the kernel refuses (WouldBlock) leaves the rest queued for the next
+//! pump or flush; the socket is never switched back to blocking.
+//!
+//! Delivery acking is automatic by default (the pump that surfaces a
+//! Deliver acks it in its write); turn it off with
 //! [`set_auto_ack`](SvcClient::set_auto_ack) to exercise the server's
 //! delivery window and eviction policy (as the load generator's
 //! deliberately slow consumers do).
@@ -34,7 +51,7 @@
 //! [`ResumePolicy::disabled`] to get the old fail-fast behavior.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -44,12 +61,17 @@ use std::time::{Duration, Instant};
 use ar_core::backoff::{Backoff, BackoffConfig};
 use ar_core::ServiceType;
 use ar_daemon::MemberId;
+use ar_net::PollSet;
 use bytes::Bytes;
 
 use crate::wire::{
-    decode_server, encode_client, frame, write_all_gathered, ClientFrame, FrameBuf, ResumeToken,
-    ServerFrame, MAX_PUBLISH_BODY, PROTOCOL_VERSION,
+    decode_client, decode_server, encode_client, frame, ClientFrame, FrameBuf, ResumeToken,
+    ServerFrame, Sock, WriteBuf, MAX_PUBLISH_BODY, PROTOCOL_VERSION,
 };
+
+/// Longest a dropped client waits for its socket to take the queued
+/// frames and the Goodbye.
+const CLOSE_WAIT: Duration = Duration::from_secs(1);
 
 /// Events surfaced to the application.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,7 +153,8 @@ pub enum PublishError {
     /// sent (a frame that size would be rejected by the server and
     /// its delivery would overflow the frame cap).
     TooLarge,
-    /// Socket error.
+    /// Socket error (the blocking [`SvcClient::publish`]), or the
+    /// session is closed.
     Io(io::Error),
 }
 
@@ -191,78 +214,11 @@ impl ResumePolicy {
     }
 }
 
-impl Write for Sock {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Sock::Uds(s) => s.write(buf),
-        }
-    }
-
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write_vectored(bufs),
-            #[cfg(unix)]
-            Sock::Uds(s) => s.write_vectored(bufs),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Target {
     Tcp(SocketAddr),
     #[cfg(unix)]
     Uds(PathBuf),
-}
-
-#[derive(Debug)]
-enum Sock {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Uds(UnixStream),
-}
-
-impl Sock {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Sock::Uds(s) => s.read(buf),
-        }
-    }
-
-    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.set_nonblocking(on),
-            #[cfg(unix)]
-            Sock::Uds(s) => s.set_nonblocking(on),
-        }
-    }
-
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.set_read_timeout(t),
-            #[cfg(unix)]
-            Sock::Uds(s) => s.set_read_timeout(t),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            Sock::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Sock::Uds(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
 }
 
 /// Handshake result: the connected socket plus the Welcome fields.
@@ -283,6 +239,8 @@ struct Handshake {
 pub struct SvcClient {
     sock: Sock,
     rbuf: FrameBuf,
+    /// Frames queued for the socket, in call order.
+    wbuf: WriteBuf,
     queue: VecDeque<SvcEvent>,
     target: Target,
     name: String,
@@ -342,6 +300,7 @@ impl SvcClient {
         Ok(SvcClient {
             sock: h.sock,
             rbuf: h.rbuf,
+            wbuf: WriteBuf::default(),
             queue: VecDeque::new(),
             target,
             name: name.to_string(),
@@ -411,6 +370,13 @@ impl SvcClient {
         self.duplicates_suppressed
     }
 
+    /// Bytes queued for the socket and not yet written: publishes
+    /// awaiting a [`pump`](Self::pump) or [`flush`](Self::flush), or
+    /// frames the socket refused for now.
+    pub fn queued_bytes(&self) -> usize {
+        self.wbuf.len()
+    }
+
     /// The server's eviction reason, once evicted.
     pub fn evicted_reason(&self) -> Option<&str> {
         self.evicted.as_deref()
@@ -437,11 +403,12 @@ impl SvcClient {
         self.sock.shutdown();
     }
 
-    /// Joins a group.
+    /// Joins a group, sending the request (behind any queued
+    /// publishes) at once.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors.
+    /// As for [`send_raw`](Self::send_raw).
     pub fn join(&mut self, group: &str) -> io::Result<()> {
         self.joined.insert(group.to_string());
         self.send(&ClientFrame::JoinGroup {
@@ -449,11 +416,12 @@ impl SvcClient {
         })
     }
 
-    /// Leaves a group.
+    /// Leaves a group, sending the request (behind any queued
+    /// publishes) at once.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors.
+    /// As for [`send_raw`](Self::send_raw).
     pub fn leave(&mut self, group: &str) -> io::Result<()> {
         self.joined.remove(group);
         self.send(&ClientFrame::LeaveGroup {
@@ -461,19 +429,29 @@ impl SvcClient {
         })
     }
 
-    /// Publishes if a credit is available, consuming it. Returns the
-    /// assigned publish id (echoed in [`SvcEvent::PublishOrdered`]).
+    /// Queues a publish if a credit is available, consuming it.
+    /// Returns the assigned publish id (echoed in
+    /// [`SvcEvent::PublishOrdered`]). Makes no system call: the publish
+    /// goes out at the next [`pump`](Self::pump) or
+    /// [`flush`](Self::flush) (or blocking [`publish`](Self::publish),
+    /// or drop), gathered with every other queued frame.
     ///
     /// # Errors
     ///
     /// [`PublishError::NoCredits`] when the credit window is
-    /// exhausted; [`PublishError::Io`] on socket errors.
+    /// exhausted; [`PublishError::Io`] once the session is closed.
     pub fn try_publish(
         &mut self,
         groups: &[&str],
         service: ServiceType,
         payload: Bytes,
     ) -> Result<u64, PublishError> {
+        if let Some(reason) = &self.evicted {
+            return Err(PublishError::Io(io::Error::new(
+                io::ErrorKind::NotConnected,
+                format!("session closed: {reason}"),
+            )));
+        }
         if self.credits == 0 {
             return Err(PublishError::NoCredits);
         }
@@ -490,20 +468,25 @@ impl SvcClient {
         self.next_publish_id += 1;
         let id = self.next_publish_id;
         let framed = frame(&body);
-        // Track before sending: if the connection dies mid-flight the
-        // publish is re-sent on resume (the server deduplicates).
+        // Track from the queue on: if the connection dies before the
+        // grant the publish is re-sent on resume (the server
+        // deduplicates).
         self.unacked_pubs.insert(id, framed.clone());
-        self.send_raw(&framed)?;
+        self.wbuf.push(framed);
         self.credits -= 1;
         Ok(id)
     }
 
-    /// Publishes, waiting up to `timeout` for a credit.
+    /// Publishes, waiting up to `timeout` for a credit, then sends it
+    /// with everything queued before it, waiting within the same
+    /// `timeout` for the socket to take it all (what it has not taken
+    /// by then goes at the next pump or flush).
     ///
     /// # Errors
     ///
     /// [`PublishError::NoCredits`] when no credit arrived in time;
-    /// [`PublishError::Io`] on socket errors.
+    /// [`PublishError::Io`] on socket errors, as for
+    /// [`send_raw`](Self::send_raw).
     pub fn publish(
         &mut self,
         groups: &[&str],
@@ -523,16 +506,29 @@ impl SvcClient {
                         std::thread::sleep(Duration::from_micros(200));
                     }
                 }
+                Ok(id) => {
+                    self.send_queued()?;
+                    while !self.wbuf.is_empty() && self.evicted.is_none() {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            break;
+                        }
+                        self.wait_ready(left)?;
+                        self.pump()?;
+                    }
+                    return Ok(id);
+                }
                 other => return other,
             }
         }
     }
 
-    /// Acks consumed deliveries through `seq` (manual-ack mode).
+    /// Acks consumed deliveries through `seq` (manual-ack mode),
+    /// sending the ack (behind any queued publishes) at once.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors.
+    /// As for [`send_raw`](Self::send_raw).
     pub fn ack(&mut self, seq: u64) -> io::Result<()> {
         if seq <= self.acked {
             return Ok(());
@@ -541,13 +537,28 @@ impl SvcClient {
         self.send(&ClientFrame::Ack { through: seq })
     }
 
-    /// Drains the socket into the event queue without blocking,
-    /// transparently reconnecting (per policy) when the connection has
-    /// dropped.
+    /// Writes the queued frames without reading, in one gathered write
+    /// as far as the socket takes them; what it refuses stays queued.
+    /// A dead connection is handled as [`pump`](Self::pump) handles
+    /// one: reconnect per policy, otherwise [`SvcEvent::Evicted`].
+    pub fn flush(&mut self) {
+        while let Err(e) = self.write_queued() {
+            if !self.recover(format!("connection lost: {e}")) {
+                break;
+            }
+        }
+    }
+
+    /// Drains the socket into the event queue without blocking, then
+    /// writes every queued frame (with the delivery ack, when auto-ack
+    /// is on) in one non-blocking gathered write. A dropped connection,
+    /// seen by the read or the write, is reconnected per policy; when
+    /// that fails or is disabled the session ends with
+    /// [`SvcEvent::Evicted`].
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (not `WouldBlock`).
+    /// A frame the server sent that does not decode.
     pub fn pump(&mut self) -> io::Result<()> {
         let mut chunk = [0u8; 64 * 1024];
         loop {
@@ -575,35 +586,51 @@ impl SvcClient {
                     self.queue.push_back(ev);
                 }
             }
-            if !lost {
-                break;
-            }
             if self.evicted.is_some() {
                 break;
             }
-            if !self.policy.is_enabled() {
-                self.mark_lost("connection closed");
+            let reason = if lost {
+                "connection closed".to_string()
+            } else {
+                if self.auto_ack && self.unacked > self.acked {
+                    self.acked = self.unacked;
+                    self.wbuf.push(frame(&encode_client(&ClientFrame::Ack {
+                        through: self.acked,
+                    })));
+                }
+                match self.write_queued() {
+                    Ok(_) => break,
+                    Err(e) => format!("connection lost: {e}"),
+                }
+            };
+            if !self.recover(reason) {
                 break;
             }
-            match self.reconnect() {
-                // Loop: drain the fresh socket (resume replay).
-                Ok(_) => continue,
-                Err(e) => {
-                    self.mark_lost(&format!("connection lost: {e}"));
-                    break;
-                }
-            }
-        }
-        if self.auto_ack && self.unacked > self.acked && self.evicted.is_none() {
-            let through = self.unacked;
-            self.acked = through;
-            self.send(&ClientFrame::Ack { through })?;
+            // Loop: drain the fresh socket (resume replay).
         }
         Ok(())
     }
 
+    /// After the connection died: reconnects per policy (true: the
+    /// session goes on over a fresh socket), or ends the session with
+    /// `reason` when reconnecting is off.
+    fn recover(&mut self, reason: String) -> bool {
+        if !self.policy.is_enabled() {
+            self.mark_lost(&reason);
+            return false;
+        }
+        match self.reconnect() {
+            Ok(_) => true,
+            Err(e) => {
+                self.mark_lost(&format!("connection lost: {e}"));
+                false
+            }
+        }
+    }
+
     fn mark_lost(&mut self, reason: &str) {
         if self.evicted.is_none() {
+            self.wbuf.take();
             self.evicted = Some(reason.to_string());
             self.queue.push_back(SvcEvent::Evicted {
                 reason: reason.to_string(),
@@ -663,8 +690,7 @@ impl SvcClient {
             // already-forwarded copies and re-grants already-ordered
             // ones.
             self.acked = self.unacked;
-            let frames: Vec<Bytes> = self.unacked_pubs.values().cloned().collect();
-            self.write_now(&frames)?;
+            self.requeue_after_resume();
         } else {
             // The session is gone (grace expired, server restarted, or
             // parking disabled): start over. Outcome of in-flight
@@ -684,18 +710,41 @@ impl SvcClient {
             self.delivery_window = h.delivery_window;
             self.unacked = 0;
             self.acked = 0;
-            let joins: Vec<Bytes> = self
-                .joined
-                .iter()
-                .map(|group| {
-                    frame(&encode_client(&ClientFrame::JoinGroup {
+            // Nothing queued for the old session means anything to
+            // the new one.
+            self.wbuf.take();
+            for group in &self.joined {
+                self.wbuf
+                    .push(frame(&encode_client(&ClientFrame::JoinGroup {
                         group: group.clone(),
-                    }))
-                })
-                .collect();
-            self.write_now(&joins)?;
+                    })));
+            }
         }
         Ok(h.resumed)
+    }
+
+    /// Rebuilds the write queue for a resumed session: every publish
+    /// written to the dead socket but not yet granted goes first, then
+    /// everything still queued, whole and in call order. The queued
+    /// publishes are the newest ungranted ones, so the publishes keep
+    /// their id order and none is sent twice.
+    fn requeue_after_resume(&mut self) {
+        let queued = self.wbuf.take();
+        let first_queued = queued
+            .iter()
+            .find_map(|f| match decode_client(f.get(4..)?) {
+                Ok(ClientFrame::Publish { id, .. }) if self.unacked_pubs.contains_key(&id) => {
+                    Some(id)
+                }
+                _ => None,
+            })
+            .unwrap_or(u64::MAX);
+        for framed in self.unacked_pubs.range(..first_queued).map(|(_, f)| f) {
+            self.wbuf.push(framed.clone());
+        }
+        for framed in queued {
+            self.wbuf.push(framed);
+        }
     }
 
     fn on_frame(&mut self, bytes: &[u8]) -> io::Result<Option<SvcEvent>> {
@@ -800,24 +849,38 @@ impl SvcClient {
         self.queue.drain(..).collect()
     }
 
-    /// Writes raw bytes to the socket, bypassing client-side credit
-    /// accounting — for exercising the server's protocol handling
-    /// (malformed frames, credit violations) from tests. Reconnects
-    /// (per policy) when the connection has dropped; the write is
-    /// retried only if the session was *resumed* — after a session
-    /// reset the bytes may reference stale state, so the caller gets
-    /// `ConnectionReset` instead.
+    /// Writes raw bytes to the socket (behind any queued frames),
+    /// bypassing client-side credit accounting — for exercising the
+    /// server's protocol handling (malformed frames, credit violations)
+    /// from tests. Reconnects (per policy) when the connection has
+    /// dropped; the write is retried only if the session was *resumed*
+    /// — after a session reset the bytes may reference stale state, so
+    /// the caller gets `ConnectionReset` instead.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        match self.write_now(&[bytes]) {
-            Ok(()) => Ok(()),
+        self.wbuf.push(Bytes::copy_from_slice(bytes));
+        self.send_queued()
+    }
+
+    fn send(&mut self, f: &ClientFrame) -> io::Result<()> {
+        self.wbuf.push(frame(&encode_client(f)));
+        self.send_queued()
+    }
+
+    /// Writes the queue now; after a failed write, reconnects (per
+    /// policy) and writes the rebuilt queue, as
+    /// [`send_raw`](Self::send_raw) documents.
+    fn send_queued(&mut self) -> io::Result<()> {
+        match self.write_queued() {
+            Ok(_) => Ok(()),
             Err(_) if self.policy.is_enabled() && self.evicted.is_none() => {
                 let resumed = self.reconnect()?;
+                self.write_queued()?;
                 if resumed {
-                    self.write_now(&[bytes])
+                    Ok(())
                 } else {
                     Err(io::Error::new(
                         io::ErrorKind::ConnectionReset,
@@ -829,28 +892,45 @@ impl SvcClient {
         }
     }
 
-    fn send(&mut self, f: &ClientFrame) -> io::Result<()> {
-        self.send_raw(&frame(&encode_client(f)))
+    /// One non-blocking gathered write of the queue (more only past
+    /// [`MAX_IOV`](crate::wire::MAX_IOV) frames or after a short
+    /// write): `Ok(true)` when drained, `Ok(false)` when the socket
+    /// refused the rest.
+    fn write_queued(&mut self) -> io::Result<bool> {
+        if self.evicted.is_some() {
+            return Ok(true);
+        }
+        self.wbuf.flush(&mut self.sock, || {})
     }
 
-    /// Writes `frames` in order, gathered into as few writes as the
-    /// socket allows.
-    fn write_now<B: AsRef<[u8]>>(&mut self, frames: &[B]) -> io::Result<()> {
-        // Client-side frames are small; a blocking write keeps the API
-        // simple (the kernel buffer absorbs them).
-        self.sock.set_nonblocking(false)?;
-        let result = write_all_gathered(&mut self.sock, frames);
-        let _ = self.sock.set_nonblocking(true);
-        result
+    /// Waits up to `timeout` for the socket to take more bytes or have
+    /// bytes to read.
+    fn wait_ready(&self, timeout: Duration) -> io::Result<()> {
+        let mut poll = PollSet::new();
+        poll.register_read_write(self.sock.fd());
+        poll.wait(timeout).map(drop)
     }
 }
 
 impl Drop for SvcClient {
     fn drop(&mut self) {
         // A deliberate close must not leave a parked session pinning
-        // group memberships for the grace period.
+        // group memberships for the grace period. Queued publishes go
+        // first, then the Goodbye; deliveries still arriving meanwhile
+        // are read and dropped.
         if self.evicted.is_none() {
-            let _ = self.write_now(&[frame(&encode_client(&ClientFrame::Goodbye))]);
+            self.wbuf.push(frame(&encode_client(&ClientFrame::Goodbye)));
+            let deadline = Instant::now() + CLOSE_WAIT;
+            let mut chunk = [0u8; 4096];
+            while let Ok(false) = self.write_queued() {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() || self.wait_ready(left).is_err() {
+                    break;
+                }
+                while Instant::now() < deadline
+                    && matches!(self.sock.read(&mut chunk), Ok(n) if n > 0)
+                {}
+            }
         }
     }
 }

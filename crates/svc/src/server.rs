@@ -68,10 +68,10 @@
 //! stamp.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -90,7 +90,7 @@ use bytes::Bytes;
 
 use crate::credit::{DedupWindow, EvictReason, FlowConfig, FlowState, Offer, PublishGate};
 use crate::wire::{
-    decode_client, frame_server, ClientFrame, FrameBuf, ResumeToken, ServerFrame, MAX_IOV,
+    decode_client, frame_server, ClientFrame, FrameBuf, ResumeToken, ServerFrame, Sock, WriteBuf,
     PROTOCOL_VERSION,
 };
 
@@ -158,6 +158,9 @@ pub struct SvcStats {
     /// kernel refused with WouldBlock): frames per write is deliveries
     /// plus grants plus control frames, over this.
     pub write_calls: Counter,
+    /// Reads issued on client sockets (including the one that finds
+    /// nothing left): publishes per read is publishes over this.
+    pub read_calls: Counter,
     /// Handshakes refused (capacity, bad name, version mismatch).
     pub refused: Counter,
     /// Join/leave requests rejected (reported via GroupRejected).
@@ -219,6 +222,10 @@ impl SvcStats {
             write_calls: hub.registry.counter(
                 "ar_svc_write_calls_total",
                 "Vectored writes issued to client sockets (one gathers every queued frame)",
+            ),
+            read_calls: hub.registry.counter(
+                "ar_svc_read_calls_total",
+                "Reads issued on client sockets, including the one that finds the socket empty",
             ),
             refused: hub.registry.counter(
                 "ar_svc_refused_total",
@@ -468,135 +475,6 @@ fn session_salt() -> u64 {
 
 // ---- connection state -----------------------------------------------------
 
-/// Either kind of client socket, unified behind non-blocking reads and
-/// writes.
-#[derive(Debug)]
-enum Sock {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Uds(UnixStream),
-}
-
-impl Sock {
-    fn fd(&self) -> i32 {
-        #[cfg(unix)]
-        {
-            use std::os::fd::AsRawFd;
-            match self {
-                Sock::Tcp(s) => s.as_raw_fd(),
-                Sock::Uds(s) => s.as_raw_fd(),
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            -1
-        }
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Sock::Uds(s) => s.read(buf),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            Sock::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Sock::Uds(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl Write for Sock {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Sock::Uds(s) => s.write(buf),
-        }
-    }
-
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write_vectored(bufs),
-            #[cfg(unix)]
-            Sock::Uds(s) => s.write_vectored(bufs),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Bounded outgoing frame queue with partial-write tracking.
-#[derive(Debug, Default)]
-struct WriteBuf {
-    queue: VecDeque<Bytes>,
-    /// Bytes of the front chunk already written.
-    offset: usize,
-    total: usize,
-}
-
-impl WriteBuf {
-    fn push(&mut self, bytes: Bytes) {
-        self.total += bytes.len();
-        self.queue.push_back(bytes);
-    }
-
-    fn len(&self) -> usize {
-        self.total
-    }
-
-    /// Writes as much as `w` accepts, handing it every queued frame
-    /// (from `offset` into the front one, at most [`MAX_IOV`] per call)
-    /// as one vectored write, until drained or WouldBlock. Returns
-    /// `Ok(true)` when drained, `Ok(false)` on WouldBlock; counts each
-    /// write issued in `writes`.
-    fn flush<W: Write>(&mut self, w: &mut W, writes: &Counter) -> io::Result<bool> {
-        while !self.queue.is_empty() {
-            let iov: Vec<IoSlice<'_>> = self
-                .queue
-                .iter()
-                .take(MAX_IOV)
-                .enumerate()
-                .map(|(i, b)| IoSlice::new(if i == 0 { &b[self.offset..] } else { b }))
-                .collect();
-            writes.add(1);
-            match w.write_vectored(&iov) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.advance(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
-    }
-
-    /// Drops `n` written bytes off the front, across frame boundaries.
-    fn advance(&mut self, mut n: usize) {
-        self.total -= n;
-        while let Some(front) = self.queue.front() {
-            let left = front.len() - self.offset;
-            if n < left {
-                self.offset += n;
-                return;
-            }
-            n -= left;
-            self.queue.pop_front();
-            self.offset = 0;
-        }
-    }
-}
-
 /// A delivery body queued behind the window (the per-connection seq is
 /// assigned by [`FlowState`]).
 #[derive(Debug)]
@@ -787,7 +665,9 @@ impl Server {
                     reason: "server shutting down".into(),
                 },
             );
-            let _ = conn.wbuf.flush(&mut conn.sock, &self.stats.write_calls);
+            let _ = conn
+                .wbuf
+                .flush(&mut conn.sock, || self.stats.write_calls.inc());
             conn.sock.shutdown();
         }
         self.stats.connected.set(0);
@@ -916,6 +796,7 @@ impl Server {
                     continue;
                 }
                 loop {
+                    self.stats.read_calls.inc();
                     match conn.sock.read(&mut self.chunk) {
                         Ok(0) => {
                             conn.dead = true; // peer closed
@@ -1571,10 +1452,10 @@ impl Server {
             ..
         } = self;
         for conn in conns.values_mut() {
-            if conn.wbuf.len() == 0 {
+            if conn.wbuf.is_empty() {
                 continue;
             }
-            match conn.wbuf.flush(&mut conn.sock, &stats.write_calls) {
+            match conn.wbuf.flush(&mut conn.sock, || stats.write_calls.inc()) {
                 Ok(_) => {
                     if conn.dead {
                         continue;
@@ -1622,7 +1503,9 @@ impl Server {
                 continue;
             };
             // Last chance for the Evicted frame to reach the peer.
-            let _ = conn.wbuf.flush(&mut conn.sock, &self.stats.write_calls);
+            let _ = conn
+                .wbuf
+                .flush(&mut conn.sock, || self.stats.write_calls.inc());
             conn.sock.shutdown();
             let Some(sid) = conn.session else { continue };
             let Some(sess) = self.sessions.get_mut(&sid) else {
@@ -1699,190 +1582,5 @@ impl Server {
         }
         self.stats.sessions_parked.set(parked);
         self.stats.retained_bytes.set(retained);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// A socket stand-in that plays a script, one step per write:
-    /// `Some(n)` accepts up to `n` bytes gathered across the slices,
-    /// `None` is WouldBlock. Past the script it accepts everything.
-    struct Scripted {
-        script: VecDeque<Option<usize>>,
-        out: Vec<u8>,
-    }
-
-    impl Scripted {
-        fn new(script: &[Option<usize>]) -> Scripted {
-            Scripted {
-                script: script.iter().copied().collect(),
-                out: Vec::new(),
-            }
-        }
-    }
-
-    impl Write for Scripted {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.write_vectored(&[IoSlice::new(buf)])
-        }
-
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-            assert!(bufs.len() <= MAX_IOV, "{} slices: EINVAL", bufs.len());
-            let mut room = match self.script.pop_front() {
-                Some(None) => return Err(io::ErrorKind::WouldBlock.into()),
-                Some(Some(n)) => n,
-                None => usize::MAX,
-            };
-            let before = self.out.len();
-            for b in bufs {
-                let take = b.len().min(room);
-                self.out.extend_from_slice(&b[..take]);
-                room -= take;
-            }
-            Ok(self.out.len() - before)
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn queued(frames: &[&[u8]]) -> (WriteBuf, Vec<u8>) {
-        let mut wbuf = WriteBuf::default();
-        for f in frames {
-            wbuf.push(Bytes::copy_from_slice(f));
-        }
-        (wbuf, frames.concat())
-    }
-
-    /// Flushes once against `script`, then once against a socket that
-    /// takes everything; returns what the first flush left owed.
-    fn flush_twice(frames: &[&[u8]], script: &[Option<usize>]) -> usize {
-        let (mut wbuf, want) = queued(frames);
-        let mut sock = Scripted::new(script);
-        let writes = Counter::default();
-        assert!(
-            !wbuf.flush(&mut sock, &writes).unwrap(),
-            "script ends blocked"
-        );
-        let owed = wbuf.len();
-        assert_eq!(owed, want.len() - sock.out.len());
-        assert!(wbuf.flush(&mut sock, &writes).unwrap());
-        assert_eq!(sock.out, want);
-        assert_eq!(wbuf.len(), 0);
-        owed
-    }
-
-    const A: &[u8] = b"\0\0\0\x03abc";
-    const B: &[u8] = b"\0\0\0\x02de";
-    const C: &[u8] = b"\0\0\0\x04fghi";
-
-    #[test]
-    fn would_block_keeps_every_byte() {
-        assert_eq!(flush_twice(&[A, B], &[None]), A.len() + B.len());
-    }
-
-    #[test]
-    fn one_byte_then_would_block() {
-        assert_eq!(
-            flush_twice(&[A, B], &[Some(1), None]),
-            A.len() + B.len() - 1
-        );
-    }
-
-    #[test]
-    fn split_inside_a_length_prefix() {
-        let owed = flush_twice(&[A, B], &[Some(A.len() + 2), None]);
-        assert_eq!(owed, B.len() - 2);
-    }
-
-    #[test]
-    fn split_at_an_exact_frame_boundary() {
-        let (mut wbuf, _) = queued(&[A, B, C]);
-        let mut sock = Scripted::new(&[Some(A.len()), None]);
-        assert!(!wbuf.flush(&mut sock, &Counter::default()).unwrap());
-        assert_eq!((wbuf.queue.len(), wbuf.offset), (2, 0));
-        assert_eq!(
-            flush_twice(&[A, B, C], &[Some(A.len()), None]),
-            B.len() + C.len()
-        );
-    }
-
-    #[test]
-    fn split_across_several_frames() {
-        let (mut wbuf, _) = queued(&[A, B, C]);
-        let mut sock = Scripted::new(&[Some(A.len() + B.len() + 1), None]);
-        assert!(!wbuf.flush(&mut sock, &Counter::default()).unwrap());
-        assert_eq!((wbuf.queue.len(), wbuf.offset), (1, 1));
-        let script = [Some(A.len() + 2), Some(B.len()), None];
-        assert_eq!(flush_twice(&[A, B, C], &script), C.len() - 2);
-    }
-
-    #[test]
-    fn one_write_carries_every_queued_frame() {
-        let (mut wbuf, want) = queued(&[A, B, C]);
-        let mut sock = Scripted::new(&[]);
-        let writes = Counter::default();
-        assert!(wbuf.flush(&mut sock, &writes).unwrap());
-        assert_eq!(sock.out, want);
-        assert_eq!(writes.get(), 1);
-    }
-
-    #[test]
-    fn more_frames_than_the_slice_cap_drain() {
-        let frames: Vec<[u8; 5]> = (0..5000u32).map(|i| [0, 0, 0, 1, i as u8]).collect();
-        let refs: Vec<&[u8]> = frames.iter().map(|f| &f[..]).collect();
-        let (mut wbuf, want) = queued(&refs);
-        let mut sock = Scripted::new(&[]);
-        let writes = Counter::default();
-        assert!(wbuf.flush(&mut sock, &writes).unwrap());
-        assert_eq!(sock.out, want);
-        assert_eq!(writes.get(), 5000_u64.div_ceil(MAX_IOV as u64));
-    }
-
-    #[test]
-    fn a_refusing_socket_is_an_error() {
-        struct Zero;
-        impl Write for Zero {
-            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
-                Ok(0)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let (mut wbuf, _) = queued(&[A]);
-        let err = wbuf.flush(&mut Zero, &Counter::default()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
-        assert_eq!(wbuf.len(), A.len());
-    }
-
-    proptest! {
-        /// Whatever the short-write schedule, the socket sees exactly
-        /// the frames' concatenation in order, and `len()` is the bytes
-        /// still owed after every call.
-        #[test]
-        fn any_short_write_schedule_delivers_the_concatenation(
-            frames in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..40), 0..40),
-            script in prop::collection::vec(prop::option::of(1..64usize), 0..60),
-        ) {
-            let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-            let (mut wbuf, want) = queued(&refs);
-            let mut sock = Scripted::new(&script);
-            let writes = Counter::default();
-            loop {
-                let drained = wbuf.flush(&mut sock, &writes).unwrap();
-                prop_assert_eq!(wbuf.len(), want.len() - sock.out.len());
-                prop_assert_eq!(&sock.out[..], &want[..sock.out.len()]);
-                if drained {
-                    break;
-                }
-            }
-            prop_assert_eq!(sock.out, want);
-            prop_assert!(wbuf.queue.is_empty());
-        }
     }
 }

@@ -12,7 +12,12 @@
 //! publish ids, per-connection delivery sequence numbers for window
 //! acking, credit grants, and eviction notices.
 
-use std::io::{self, IoSlice, Write};
+use std::collections::VecDeque;
+use std::io::{self, IoSlice, Read, Write};
+use std::net::{Shutdown, TcpStream};
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 use ar_core::codec::Reader;
 use ar_core::{ParticipantId, ServiceType};
@@ -614,31 +619,168 @@ pub fn frame(body: &[u8]) -> Bytes {
 /// which the call fails with `EINVAL`.
 pub(crate) const MAX_IOV: usize = 1024;
 
-/// Writes `frames` back to back with as few gathered writes as the
-/// socket allows (one, for a blocking socket with room), resuming
-/// inside a frame after a short write.
-///
-/// # Errors
-///
-/// Propagates the first write error; `WriteZero` when the socket
-/// accepts nothing.
-pub(crate) fn write_all_gathered<W: Write, B: AsRef<[u8]>>(
-    w: &mut W,
-    frames: &[B],
-) -> io::Result<()> {
-    for chunk in frames.chunks(MAX_IOV) {
-        let mut iov: Vec<IoSlice<'_>> = chunk.iter().map(|f| IoSlice::new(f.as_ref())).collect();
-        let mut rest = &mut iov[..];
-        while !rest.is_empty() {
-            match w.write_vectored(rest) {
+/// Bounded outgoing frame queue with partial-write tracking, shared by
+/// both ends of a connection: the service tier queues Deliver, grant
+/// and control frames per client, a client queues its publishes and
+/// control frames. [`flush`](WriteBuf::flush) hands the socket every
+/// queued frame in one gathered write.
+#[derive(Debug, Default)]
+pub(crate) struct WriteBuf {
+    queue: VecDeque<Bytes>,
+    /// Bytes of the front chunk already written.
+    offset: usize,
+    total: usize,
+}
+
+impl WriteBuf {
+    pub(crate) fn push(&mut self, bytes: Bytes) {
+        self.total += bytes.len();
+        self.queue.push_back(bytes);
+    }
+
+    /// Bytes still owed to the socket.
+    pub(crate) fn len(&self) -> usize {
+        self.total
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+
+    /// Writes as much as `w` accepts, handing it every queued frame
+    /// (from `offset` into the front one, at most [`MAX_IOV`] per call)
+    /// as one vectored write, until drained or WouldBlock. Returns
+    /// `Ok(true)` when drained, `Ok(false)` on WouldBlock; calls
+    /// `on_write` once per write issued.
+    pub(crate) fn flush<W: Write>(
+        &mut self,
+        w: &mut W,
+        mut on_write: impl FnMut(),
+    ) -> io::Result<bool> {
+        while !self.queue.is_empty() {
+            let iov: Vec<IoSlice<'_>> = self
+                .queue
+                .iter()
+                .take(MAX_IOV)
+                .enumerate()
+                .map(|(i, b)| IoSlice::new(if i == 0 { &b[self.offset..] } else { b }))
+                .collect();
+            on_write();
+            match w.write_vectored(&iov) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => IoSlice::advance_slices(&mut rest, n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Ok(n) => self.advance(n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
+        Ok(true)
     }
-    Ok(())
+
+    /// Empties the queue and returns every frame not yet completely
+    /// written, the partly written front one whole: what a fresh
+    /// socket must carry after the old one died.
+    pub(crate) fn take(&mut self) -> Vec<Bytes> {
+        self.offset = 0;
+        self.total = 0;
+        self.queue.drain(..).collect()
+    }
+
+    /// Drops `n` written bytes off the front, across frame boundaries.
+    fn advance(&mut self, mut n: usize) {
+        self.total -= n;
+        while let Some(front) = self.queue.front() {
+            let left = front.len() - self.offset;
+            if n < left {
+                self.offset += n;
+                return;
+            }
+            n -= left;
+            self.queue.pop_front();
+            self.offset = 0;
+        }
+    }
+}
+
+/// Either kind of stream socket, for both ends of a connection.
+#[derive(Debug)]
+pub(crate) enum Sock {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Uds(UnixStream),
+}
+
+impl Sock {
+    pub(crate) fn fd(&self) -> i32 {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            match self {
+                Sock::Tcp(s) => s.as_raw_fd(),
+                Sock::Uds(s) => s.as_raw_fd(),
+            }
+        }
+        #[cfg(not(unix))]
+        {
+            -1
+        }
+    }
+
+    pub(crate) fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        match self {
+            Sock::Tcp(s) => s.set_nonblocking(on),
+            #[cfg(unix)]
+            Sock::Uds(s) => s.set_nonblocking(on),
+        }
+    }
+
+    pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        match self {
+            Sock::Tcp(s) => s.set_read_timeout(t),
+            #[cfg(unix)]
+            Sock::Uds(s) => s.set_read_timeout(t),
+        }
+    }
+
+    pub(crate) fn shutdown(&self) {
+        let _ = match self {
+            Sock::Tcp(s) => s.shutdown(Shutdown::Both),
+            #[cfg(unix)]
+            Sock::Uds(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+}
+
+impl Read for Sock {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => s.read(buf),
+            #[cfg(unix)]
+            Sock::Uds(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Sock {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Sock::Uds(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Sock::Uds(s) => s.write_vectored(bufs),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Incremental frame extraction from a growing byte stream.
@@ -713,6 +855,7 @@ impl FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn client_frames() -> Vec<ClientFrame> {
         vec![
@@ -909,26 +1052,42 @@ mod tests {
         assert!(frame_server(&deliver(MAX_FRAME - header + 1)).is_err());
     }
 
-    /// Accepts at most `step` bytes per call, gathering across slices.
-    struct Trickle {
+    /// A socket stand-in that plays a script, one step per write:
+    /// `Some(n)` accepts up to `n` bytes gathered across the slices,
+    /// `None` is WouldBlock. Past the script it accepts everything.
+    struct Scripted {
+        script: VecDeque<Option<usize>>,
         out: Vec<u8>,
-        step: usize,
     }
 
-    impl Write for Trickle {
+    impl Scripted {
+        fn new(script: &[Option<usize>]) -> Scripted {
+            Scripted {
+                script: script.iter().copied().collect(),
+                out: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Scripted {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             self.write_vectored(&[IoSlice::new(buf)])
         }
 
         fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-            assert!(bufs.len() <= MAX_IOV, "{} slices", bufs.len());
-            let mut n = 0;
+            assert!(bufs.len() <= MAX_IOV, "{} slices: EINVAL", bufs.len());
+            let mut room = match self.script.pop_front() {
+                Some(None) => return Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(n)) => n,
+                None => usize::MAX,
+            };
+            let before = self.out.len();
             for b in bufs {
-                let take = b.len().min(self.step - n);
+                let take = b.len().min(room);
                 self.out.extend_from_slice(&b[..take]);
-                n += take;
+                room -= take;
             }
-            Ok(n)
+            Ok(self.out.len() - before)
         }
 
         fn flush(&mut self) -> io::Result<()> {
@@ -936,19 +1095,137 @@ mod tests {
         }
     }
 
+    fn queued(frames: &[&[u8]]) -> (WriteBuf, Vec<u8>) {
+        let mut wbuf = WriteBuf::default();
+        for f in frames {
+            wbuf.push(Bytes::copy_from_slice(f));
+        }
+        (wbuf, frames.concat())
+    }
+
+    /// Flushes once against `script`, then once against a socket that
+    /// takes everything; returns what the first flush left owed.
+    fn flush_twice(frames: &[&[u8]], script: &[Option<usize>]) -> usize {
+        let (mut wbuf, want) = queued(frames);
+        let mut sock = Scripted::new(script);
+        assert!(
+            !wbuf.flush(&mut sock, || {}).unwrap(),
+            "script ends blocked"
+        );
+        let owed = wbuf.len();
+        assert_eq!(owed, want.len() - sock.out.len());
+        assert!(wbuf.flush(&mut sock, || {}).unwrap());
+        assert_eq!(sock.out, want);
+        assert_eq!(wbuf.len(), 0);
+        owed
+    }
+
+    const A: &[u8] = b"\0\0\0\x03abc";
+    const B: &[u8] = b"\0\0\0\x02de";
+    const C: &[u8] = b"\0\0\0\x04fghi";
+
     #[test]
-    fn gathered_writes_resume_inside_frames_and_past_the_slice_cap() {
-        let frames: Vec<Bytes> = (0..MAX_IOV as u32 * 2 + 7)
-            .map(|i| frame(&i.to_be_bytes()[..1 + i as usize % 4]))
-            .collect();
-        let want: Vec<u8> = frames.concat();
-        for step in [1, 3, 4096, usize::MAX / 2] {
-            let mut w = Trickle {
-                out: Vec::new(),
-                step,
-            };
-            write_all_gathered(&mut w, &frames).unwrap();
-            assert_eq!(w.out, want, "step {step}");
+    fn would_block_keeps_every_byte() {
+        assert_eq!(flush_twice(&[A, B], &[None]), A.len() + B.len());
+    }
+
+    #[test]
+    fn one_byte_then_would_block() {
+        assert_eq!(
+            flush_twice(&[A, B], &[Some(1), None]),
+            A.len() + B.len() - 1
+        );
+    }
+
+    #[test]
+    fn split_inside_a_length_prefix() {
+        let owed = flush_twice(&[A, B], &[Some(A.len() + 2), None]);
+        assert_eq!(owed, B.len() - 2);
+    }
+
+    #[test]
+    fn split_at_an_exact_frame_boundary() {
+        let (mut wbuf, _) = queued(&[A, B, C]);
+        let mut sock = Scripted::new(&[Some(A.len()), None]);
+        assert!(!wbuf.flush(&mut sock, || {}).unwrap());
+        assert_eq!((wbuf.queue.len(), wbuf.offset), (2, 0));
+        assert_eq!(
+            flush_twice(&[A, B, C], &[Some(A.len()), None]),
+            B.len() + C.len()
+        );
+    }
+
+    #[test]
+    fn split_across_several_frames() {
+        let (mut wbuf, _) = queued(&[A, B, C]);
+        let mut sock = Scripted::new(&[Some(A.len() + B.len() + 1), None]);
+        assert!(!wbuf.flush(&mut sock, || {}).unwrap());
+        assert_eq!((wbuf.queue.len(), wbuf.offset), (1, 1));
+        let script = [Some(A.len() + 2), Some(B.len()), None];
+        assert_eq!(flush_twice(&[A, B, C], &script), C.len() - 2);
+    }
+
+    #[test]
+    fn one_write_carries_every_queued_frame() {
+        let (mut wbuf, want) = queued(&[A, B, C]);
+        let mut sock = Scripted::new(&[]);
+        let mut writes = 0;
+        assert!(wbuf.flush(&mut sock, || writes += 1).unwrap());
+        assert_eq!(sock.out, want);
+        assert_eq!(writes, 1);
+    }
+
+    #[test]
+    fn more_frames_than_the_slice_cap_drain() {
+        let frames: Vec<[u8; 5]> = (0..5000u32).map(|i| [0, 0, 0, 1, i as u8]).collect();
+        let refs: Vec<&[u8]> = frames.iter().map(|f| &f[..]).collect();
+        let (mut wbuf, want) = queued(&refs);
+        let mut sock = Scripted::new(&[]);
+        let mut writes = 0;
+        assert!(wbuf.flush(&mut sock, || writes += 1).unwrap());
+        assert_eq!(sock.out, want);
+        assert_eq!(writes, 5000_usize.div_ceil(MAX_IOV));
+    }
+
+    #[test]
+    fn a_refusing_socket_is_an_error() {
+        struct Zero;
+        impl Write for Zero {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let (mut wbuf, _) = queued(&[A]);
+        let err = wbuf.flush(&mut Zero, || {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(wbuf.len(), A.len());
+    }
+
+    proptest! {
+        /// Whatever the short-write schedule, the socket sees exactly
+        /// the frames' concatenation in order, and `len()` is the bytes
+        /// still owed after every call.
+        #[test]
+        fn any_short_write_schedule_delivers_the_concatenation(
+            frames in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..40), 0..40),
+            script in prop::collection::vec(prop::option::of(1..64usize), 0..60),
+        ) {
+            let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+            let (mut wbuf, want) = queued(&refs);
+            let mut sock = Scripted::new(&script);
+            loop {
+                let drained = wbuf.flush(&mut sock, || {}).unwrap();
+                prop_assert_eq!(wbuf.len(), want.len() - sock.out.len());
+                prop_assert_eq!(&sock.out[..], &want[..sock.out.len()]);
+                if drained {
+                    break;
+                }
+            }
+            prop_assert_eq!(sock.out, want);
+            prop_assert!(wbuf.queue.is_empty());
         }
     }
 }

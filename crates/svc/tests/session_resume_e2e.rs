@@ -13,7 +13,10 @@
 //! * **resume accounting** — the server reports the resumes on its
 //!   stats surface, and a server with parking disabled rejects the
 //!   token and falls back to a fresh session (surfaced to the
-//!   application as `Reconnected { resumed: false }`).
+//!   application as `Reconnected { resumed: false }`);
+//! * **queued publishes** — publishes still in the client's write
+//!   buffer when the connection dies are re-sent exactly once on
+//!   resume, and end the session quietly when resumption is off.
 
 use std::net::TcpListener;
 use std::net::UdpSocket;
@@ -24,7 +27,7 @@ use std::time::{Duration, Instant};
 use ar_core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType};
 use ar_daemon::{DaemonConfig, ShardedDaemon};
 use ar_net::LoopbackNet;
-use ar_svc::{serve_clients_sharded, SvcClient, SvcConfig, SvcEvent, SvcListeners};
+use ar_svc::{serve_clients_sharded, ResumePolicy, SvcClient, SvcConfig, SvcEvent, SvcListeners};
 use bytes::Bytes;
 use std::collections::HashMap;
 
@@ -317,6 +320,108 @@ fn resume_rejected_when_parking_disabled_falls_back_to_fresh_session() {
 
     drop(publisher);
     drop(sub);
+    drop(svc);
+    sharded.shutdown().expect("shutdown");
+}
+
+/// Publishes queued in the client's write buffer when the connection
+/// dies: some already written and ungranted, the rest never written.
+/// The flush that finds the socket dead resumes the session and
+/// re-sends them from the unacked set, each exactly once.
+#[test]
+fn publishes_queued_across_a_sever_are_delivered_exactly_once() {
+    const N: usize = 16;
+    let sharded = sharded_daemon(1);
+    let svc = serve_clients_sharded(&sharded, tcp_listeners(), SvcConfig::default())
+        .expect("service tier");
+    let addr = svc.tcp_addr().unwrap();
+    let mut sub = SvcClient::connect_tcp(addr, "sub").expect("connect sub");
+    sub.join("g").expect("join");
+    wait_for_members(&mut sub, &["g"], 1);
+
+    let mut publisher = SvcClient::connect_tcp(addr, "pub").expect("connect pub");
+    let publish = |c: &mut SvcClient, k: usize| {
+        c.try_publish(&["g"], ServiceType::Agreed, Bytes::from(format!("pub:{k}")))
+            .expect("publish within credits");
+    };
+    for k in 0..N / 2 {
+        publish(&mut publisher, k);
+    }
+    publisher.flush();
+    for k in N / 2..N {
+        publish(&mut publisher, k);
+    }
+    publisher.sever();
+    publisher.flush();
+    assert_eq!(publisher.reconnects(), 1, "the failed flush resumed");
+    assert!(publisher.evicted_reason().is_none());
+
+    let mut transcript = Vec::new();
+    let deadline = Instant::now() + DEADLINE;
+    while transcript.len() < N {
+        assert!(Instant::now() < deadline, "got {transcript:?}");
+        publisher.pump().expect("pump");
+        if let Some(SvcEvent::Deliver { payload, .. }) = sub.recv(Duration::from_millis(20)) {
+            transcript.push(String::from_utf8(payload.to_vec()).unwrap());
+        }
+    }
+    // Anything re-sent twice would be ordered twice: give it the time.
+    let settle = Instant::now() + Duration::from_millis(300);
+    while Instant::now() < settle {
+        publisher.pump().expect("pump");
+        if let Some(SvcEvent::Deliver { payload, .. }) = sub.recv(Duration::from_millis(20)) {
+            transcript.push(String::from_utf8(payload.to_vec()).unwrap());
+        }
+    }
+    let want: Vec<String> = (0..N).map(|k| format!("pub:{k}")).collect();
+    assert_eq!(
+        transcript, want,
+        "each queued publish exactly once, in order"
+    );
+    assert!(svc.stats().sessions_resumed.get() >= 1);
+
+    drop(publisher);
+    drop(sub);
+    drop(svc);
+    sharded.shutdown().expect("shutdown");
+}
+
+/// Without resumption, a write that finds the connection dead ends the
+/// session as a dead read does: one `Evicted`, and no error from
+/// `flush` or `pump` for the caller to take as a protocol failure.
+#[test]
+fn a_failed_flush_without_resume_is_one_eviction() {
+    let sharded = sharded_daemon(1);
+    let svc = serve_clients_sharded(&sharded, tcp_listeners(), SvcConfig::default())
+        .expect("service tier");
+    let mut publisher =
+        SvcClient::connect_tcp(svc.tcp_addr().unwrap(), "pub").expect("connect pub");
+    publisher.set_resume_policy(ResumePolicy::disabled());
+    for k in 0..8 {
+        publisher
+            .try_publish(&["g"], ServiceType::Agreed, Bytes::from(format!("pub:{k}")))
+            .expect("publish within credits");
+    }
+    publisher.sever();
+    publisher.flush();
+    publisher.pump().expect("pump after the loss");
+    publisher.pump().expect("pump again");
+    let evictions: Vec<String> = publisher
+        .drain()
+        .into_iter()
+        .filter_map(|ev| match ev {
+            SvcEvent::Evicted { reason } => Some(reason),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(evictions.len(), 1, "{evictions:?}");
+    assert!(evictions[0].starts_with("connection lost"), "{evictions:?}");
+    assert_eq!(publisher.reconnects(), 0);
+    assert!(publisher
+        .try_publish(&["g"], ServiceType::Agreed, Bytes::from_static(b"late"))
+        .is_err());
+
+    drop(publisher);
     drop(svc);
     sharded.shutdown().expect("shutdown");
 }

@@ -7,7 +7,9 @@
 //! consumer that is evicted by policy without perturbing healthy
 //! clients — and that a delivery reaches the tier's loop through the
 //! ring thread's wake, and a backed-up client's backlog through its
-//! socket draining, not the tier's 2 ms tick.
+//! socket draining, not the tier's 2 ms tick. On the ingress side, a
+//! pump sends every queued publish in one write that the tier takes in
+//! a read or two, and a dropped client still sends what it queued.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -529,5 +531,99 @@ fn a_backed_up_client_resumes_when_its_socket_drains() {
 
     drop(sub);
     drop(publisher);
+    svc.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn one_pump_sends_sixty_four_publishes_in_a_few_reads() {
+    const N: usize = 64;
+    let (_net, daemon) = single_daemon();
+    let svc = serve_clients(&daemon, tcp_listeners(), SvcConfig::default()).expect("service tier");
+    let mut client = SvcClient::connect_tcp(svc.tcp_addr().unwrap(), "corked").expect("connect");
+    assert!(client.credits() as usize >= N);
+
+    // The handshake's reads are over once connect returns, and nobody
+    // else is connected: every read from here on is of this client.
+    let stats = svc.stats();
+    let (reads_before, publishes_before) = (stats.read_calls.get(), stats.publishes.get());
+    // Spaced out, so a client that wrote each publish at once would
+    // cost the tier about a read apiece.
+    for k in 0..N {
+        client
+            .try_publish(&["g"], ServiceType::Agreed, Bytes::from(format!("m{k}")))
+            .expect("publish within credits");
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(
+        stats.publishes.get(),
+        publishes_before,
+        "try_publish wrote to the socket"
+    );
+    client.pump().expect("pump");
+    let deadline = Instant::now() + DEADLINE;
+    while stats.publishes.get() - publishes_before < N as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "the tier never read every publish"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // One gathered write is one loopback segment: one read takes it
+    // and one more finds the socket empty.
+    let reads = stats.read_calls.get() - reads_before;
+    eprintln!("{N} publishes in {reads} reads");
+    assert!(
+        reads <= 4,
+        "{reads} reads for {N} publishes sent by one pump"
+    );
+    svc.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn a_dropped_client_sends_its_queued_publishes_before_leaving() {
+    const N: usize = 8;
+    let (_net, daemon) = single_daemon();
+    let svc = serve_clients(&daemon, tcp_listeners(), SvcConfig::default()).expect("service tier");
+    let addr = svc.tcp_addr().unwrap();
+    let mut sub = SvcClient::connect_tcp(addr, "sub").expect("connect sub");
+    sub.join("g").expect("join");
+    wait_for_members(&mut sub, "g", 1);
+    let mut publisher = SvcClient::connect_tcp(addr, "pub").expect("connect pub");
+    publisher.join("g").expect("join");
+    wait_for_members(&mut sub, "g", 2);
+
+    // Queued, never pumped: only the drop sends them, ahead of its
+    // Goodbye.
+    for k in 0..N {
+        publisher
+            .try_publish(&["g"], ServiceType::Agreed, Bytes::from(format!("m{k}")))
+            .expect("publish within credits");
+    }
+    drop(publisher);
+
+    // The tier writes a Membership frame as soon as it drains it, ahead
+    // of deliveries still waiting for window space, so the leave is not
+    // ordered against the deliveries here: both must arrive.
+    let (mut got, mut left) = (Vec::new(), false);
+    let deadline = Instant::now() + DEADLINE;
+    while got.len() < N || !left {
+        assert!(
+            Instant::now() < deadline,
+            "got {got:?}, publisher left: {left}"
+        );
+        match sub.recv(Duration::from_millis(100)) {
+            Some(SvcEvent::Deliver { payload, .. }) => {
+                got.push(String::from_utf8(payload.to_vec()).unwrap());
+            }
+            Some(SvcEvent::Membership { group, members }) if group == "g" => {
+                left = members.len() == 1;
+            }
+            _ => {}
+        }
+    }
+    let want: Vec<String> = (0..N).map(|k| format!("m{k}")).collect();
+    assert_eq!(got, want, "every queued publish, in order");
+    drop(sub);
     svc.shutdown().expect("clean shutdown");
 }

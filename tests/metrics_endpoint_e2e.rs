@@ -294,6 +294,7 @@ fn service_tier_metrics_are_exported() {
         "ar_svc_publishes_total",
         "ar_svc_deliveries_total",
         "ar_svc_write_calls_total",
+        "ar_svc_read_calls_total",
         "ar_svc_refused_total",
         "ar_svc_sessions_resumed_total",
         "ar_svc_sessions_parked",
@@ -318,6 +319,8 @@ fn service_tier_metrics_are_exported() {
     assert!(sample("ar_svc_deliveries_total") >= 2.0);
     // The frames above left in vectored writes, each one counted.
     assert!(sample("ar_svc_write_calls_total") >= 1.0);
+    // The client frames above arrived through counted reads.
+    assert!(sample("ar_svc_read_calls_total") >= 1.0);
     assert!(sample("ar_svc_publish_rejects_total") >= 1.0);
     assert!(sample("ar_svc_sessions_resumed_total") >= 1.0);
     assert_eq!(
@@ -341,6 +344,7 @@ fn service_tier_metrics_are_exported() {
         "ar_svc_clients_connected",
         "ar_svc_publishes_total",
         "ar_svc_write_calls_total",
+        "ar_svc_read_calls_total",
         "ar_svc_sessions_resumed_total",
         "ar_svc_sessions_parked",
         "ar_svc_resume_rejected_total",
