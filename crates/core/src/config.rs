@@ -1,8 +1,6 @@
 //! Protocol configuration: flow-control windows, the accelerated window,
 //! and the priority-switching method.
 
-use serde::{Deserialize, Serialize};
-
 /// Which protocol the configuration describes.
 ///
 /// The paper's key observation is that the original Totem Ring protocol
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// method, the accelerated protocol *is* the original protocol
 /// (Section III-D). We keep the variant explicit so benchmarks and logs
 /// can name which protocol they measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProtocolVariant {
     /// The original Totem single-ring ordering protocol: all multicasts
     /// complete before the token is passed.
@@ -33,7 +31,7 @@ impl core::fmt::Display for ProtocolVariant {
 
 /// The two methods of deciding when to raise the token's processing
 /// priority again after handling a token (Section III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PriorityMethod {
     /// Method 1: raise token priority as soon as *any* data message the
     /// immediate predecessor sent in the next round is processed.
@@ -69,7 +67,7 @@ impl core::fmt::Display for PriorityMethod {
 /// rounds, never by a clock, preserving the sans-io core's determinism.
 /// Disabled by default: one marginal link can then thrash the whole
 /// ring through endless gather/commit/recovery cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlapDampingConfig {
     /// Master switch; when false all other fields are ignored.
     pub enabled: bool,
@@ -120,7 +118,7 @@ impl FlapDampingConfig {
 /// lossy network's retransmission storm); after `recovery_rounds`
 /// consecutive clean rounds it grows by one (additive increase) back up
 /// to the configured `accelerated_window`. Disabled by default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AimdConfig {
     /// Master switch; when false the configured window is always used.
     pub enabled: bool,
@@ -168,7 +166,7 @@ impl AimdConfig {
 /// assert_eq!(cfg.variant, ProtocolVariant::Accelerated);
 /// assert_eq!(cfg.personal_window, 40);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolConfig {
     /// Which protocol this configuration describes.
     pub variant: ProtocolVariant,

@@ -11,10 +11,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// A single injected fault.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
     /// Host `host` crashes (stops processing and sending until a
     /// [`FaultEvent::Restart`], if any).
@@ -45,7 +43,7 @@ pub enum FaultEvent {
 /// This is the harness-neutral form: the simulator converts it to its
 /// `SimTime` axis, the nemesis runner interprets the offsets against
 /// its virtual clock, and the live harness against the wall clock.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     events: Vec<(Duration, FaultEvent)>,
 }

@@ -7,7 +7,6 @@
 //! [`JoinMessage`]s and [`CommitToken`]s (see [`crate::membership`]).
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::types::{ParticipantId, RingId, Round, Seq, ServiceType};
 
@@ -18,7 +17,7 @@ use crate::types::{ParticipantId, RingId, Round, Seq, ServiceType};
 /// perform flow control, and (d) request retransmissions — the paper's
 /// Section III-A fields, plus a `round` hop counter and the `aru_setter`
 /// bookkeeping participant required by the aru update rules of Totem.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     /// Configuration the token belongs to; tokens from old rings are
     /// discarded.
@@ -79,7 +78,7 @@ impl Token {
 /// during the post-token phase, which implements the paper's second
 /// priority-switching method ("a data message that its immediate
 /// predecessor sent in the next round *after* having sent the token").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataMessage {
     /// Configuration in which this message was initiated.
     pub ring_id: RingId,
@@ -116,7 +115,7 @@ impl DataMessage {
 /// are reachable (`proc_set`) and which have been declared failed
 /// (`fail_set`). The gather phase reaches consensus when every reachable,
 /// non-failed participant advertises identical sets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinMessage {
     /// The participant sending this join message.
     pub sender: ParticipantId,
@@ -130,7 +129,7 @@ pub struct JoinMessage {
 }
 
 /// Per-member recovery information carried on the [`CommitToken`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemberInfo {
     /// The member this entry describes.
     pub pid: ParticipantId,
@@ -171,7 +170,7 @@ impl MemberInfo {
 /// second rotation every member observes the complete set, learns what
 /// must be recovered from each old ring, and shifts to the Recovery
 /// state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitToken {
     /// The identifier of the new ring being formed.
     pub ring_id: RingId,

@@ -1,8 +1,6 @@
 //! The logical ring: an ordered set of participants with successor and
 //! predecessor relations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::{ParticipantId, RingId};
 
 /// Errors constructing a [`RingInfo`].
@@ -47,7 +45,7 @@ impl std::error::Error for RingError {}
 /// assert_eq!(ring.predecessor(), ParticipantId::new(1));
 /// # Ok::<(), ar_core::ring::RingError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RingInfo {
     id: RingId,
     members: Vec<ParticipantId>,

@@ -1,12 +1,10 @@
 //! Protocol statistics counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters maintained by a participant across its lifetime.
 ///
 /// All counters are cumulative; callers that want per-interval rates
 /// should snapshot and diff.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParticipantStats {
     /// Tokens handled (duplicates excluded).
     pub tokens_handled: u64,

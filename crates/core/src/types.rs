@@ -6,8 +6,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a protocol participant (a daemon in the Spread
 /// architecture, or a process in the library architecture).
 ///
@@ -24,9 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(a < b);
 /// assert_eq!(a.as_u16(), 1);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ParticipantId(u16);
 
 impl ParticipantId {
@@ -71,9 +67,7 @@ impl From<u16> for ParticipantId {
 /// assert_eq!(s.next(), Seq::new(1));
 /// assert_eq!(Seq::new(5) - Seq::new(2), 3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Seq(u64);
 
 impl Seq {
@@ -148,9 +142,7 @@ impl core::ops::Sub for Seq {
 /// let r = Round::new(7);
 /// assert_eq!(r.next(), Round::new(8));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Round(u64);
 
 impl Round {
@@ -201,9 +193,7 @@ impl fmt::Display for Round {
 /// assert_ne!(r1, r2);
 /// assert!(r1.ring_seq() < r2.ring_seq());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RingId {
     rep: ParticipantId,
     ring_seq: u64,
@@ -246,9 +236,7 @@ impl fmt::Display for RingId {
 /// assert!(ServiceType::Safe.requires_stability());
 /// assert!(!ServiceType::Agreed.requires_stability());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ServiceType {
     /// Reliable delivery: the message is delivered by all connected
     /// members, with no ordering guarantee beyond the sender's.

@@ -1,13 +1,13 @@
 //! The client library: connect to a daemon, join groups, multicast,
 //! receive ordered messages and membership notifications.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
 use ar_core::ServiceType;
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 
 use crate::daemon::{Command, CommandTx};
 use crate::proto::{MemberId, MAX_GROUPS, MAX_NAME};
@@ -107,6 +107,10 @@ pub struct DaemonClient {
     pub(crate) me: MemberId,
     pub(crate) cmd_tx: CommandTx,
     pub(crate) events: Receiver<ClientEvent>,
+    /// Events in `events` not yet taken: the daemon counts up before
+    /// each send and refuses an event at the queue's capacity; `recv`
+    /// and `drain` count down.
+    pub(crate) queued: Arc<AtomicUsize>,
     /// Events the daemon dropped because this client's bounded queue
     /// was full (shared with the daemon's session entry).
     pub(crate) dropped: Arc<AtomicU64>,
@@ -218,12 +222,16 @@ impl DaemonClient {
 
     /// Receives the next event, waiting up to `timeout`.
     pub fn recv(&self, timeout: Duration) -> Option<ClientEvent> {
-        self.events.recv_timeout(timeout).ok()
+        let ev = self.events.recv_timeout(timeout).ok()?;
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        Some(ev)
     }
 
     /// Drains any already-queued events without waiting.
     pub fn drain(&self) -> Vec<ClientEvent> {
-        self.events.try_iter().collect()
+        let evs: Vec<ClientEvent> = self.events.try_iter().collect();
+        self.queued.fetch_sub(evs.len(), Ordering::Relaxed);
+        evs
     }
 }
 

@@ -11,6 +11,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -19,7 +20,6 @@ use ar_core::{ConfigChangeKind, Delivery, Participant, ParticipantId, ServiceTyp
 use ar_log::{FsyncPolicy, LogConfig, SegmentedLog};
 use ar_telemetry::Counter;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use ar_net::{AppEvent, Runtime, Transport, WakeReceiver, Waker};
 
@@ -34,17 +34,8 @@ use crate::proto::{Envelope, MemberId, MAX_NAME};
 pub(crate) enum Command {
     Register {
         name: String,
-        events: Sender<ClientEvent>,
-        /// Set for a service-tier session: it also receives a
-        /// [`ClientEvent::Ordered`] each time one of its own
-        /// multicasts is applied (the `ar-svc` tier's publish-credit
-        /// replenishment signal), and the tier's polling thread is
-        /// woken after every dispatch batch that queued it an event.
-        waker: Option<Waker>,
-        /// Shared counter of events dropped because the session's
-        /// bounded queue was full.
-        drops: Arc<AtomicU64>,
-        ack: Sender<Result<(), ClientError>>,
+        session: Session,
+        ack: SyncSender<Result<(), ClientError>>,
     },
     Unregister {
         client: String,
@@ -120,7 +111,7 @@ impl RingPressure {
 pub struct DaemonHandle {
     pid: ParticipantId,
     cmd_tx: CommandTx,
-    shutdown_tx: Sender<()>,
+    shutdown_tx: SyncSender<()>,
     pressure: Arc<RingPressure>,
     join: Option<JoinHandle<io::Result<()>>>,
 }
@@ -222,11 +213,11 @@ pub fn spawn_daemon_with<T: Transport + Send + 'static>(
     config: DaemonConfig,
 ) -> DaemonHandle {
     let pid = part.pid();
-    let (tx, cmd_rx) = unbounded::<Command>();
+    let (tx, cmd_rx) = channel::<Command>();
     // Like the thread spawn below, this fails only when the process is
     // out of descriptors.
     let (waker, wake) = ar_net::wake_pair().expect("daemon wake socket pair");
-    let (shutdown_tx, shutdown_rx) = bounded::<()>(1);
+    let (shutdown_tx, shutdown_rx) = sync_channel::<()>(1);
     let pressure = Arc::new(RingPressure::default());
     let pressure2 = Arc::clone(&pressure);
     let join = std::thread::spawn(move || {
@@ -275,51 +266,18 @@ impl DaemonHandle {
 
     /// Connects a new client with the given private name and the
     /// default bounded event queue
-    /// ([`crate::client::DEFAULT_EVENT_CAPACITY`]).
+    /// ([`crate::client::DEFAULT_EVENT_CAPACITY`]). Once the queue
+    /// holds that many undrained events, further events are dropped
+    /// and counted ([`DaemonClient::dropped_events`]) instead of
+    /// growing daemon memory.
     ///
     /// # Errors
     ///
     /// Returns [`ClientError::InvalidName`],
     /// [`ClientError::DuplicateName`], or [`ClientError::DaemonDown`].
     pub fn connect(&self, name: &str) -> Result<DaemonClient, ClientError> {
-        self.connect_with_capacity(name, crate::client::DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// Connects with an explicit event-queue capacity. Once the queue
-    /// holds `capacity` undrained events, further events are dropped
-    /// and counted ([`DaemonClient::dropped_events`]) instead of
-    /// growing daemon memory.
-    ///
-    /// # Errors
-    ///
-    /// As for [`connect`](Self::connect).
-    pub fn connect_with_capacity(
-        &self,
-        name: &str,
-        capacity: usize,
-    ) -> Result<DaemonClient, ClientError> {
-        self.connector().connect_inner(name, capacity, None)
-    }
-
-    /// Connects a service-tier session: like
-    /// [`connect_with_capacity`](Self::connect_with_capacity), but the
-    /// session additionally receives a [`ClientEvent::Ordered`] each
-    /// time one of its own multicasts is applied (the `ar-svc` tier
-    /// replenishes per-client publish credits at Agreed time), and
-    /// the daemon loop calls `waker` once after every dispatch batch
-    /// that queued the session an event, so the tier's polling thread
-    /// drains it without waiting for its next tick.
-    ///
-    /// # Errors
-    ///
-    /// As for [`connect`](Self::connect).
-    pub fn connect_service(
-        &self,
-        name: &str,
-        capacity: usize,
-        waker: Waker,
-    ) -> Result<DaemonClient, ClientError> {
-        self.connector().connect_service(name, capacity, waker)
+        self.connector()
+            .connect_inner(name, crate::client::DEFAULT_EVENT_CAPACITY, None)
     }
 
     /// Stops the daemon and returns its loop result.
@@ -332,7 +290,7 @@ impl DaemonHandle {
     }
 
     fn shutdown_now(&mut self) -> io::Result<()> {
-        let _ = self.shutdown_tx.send(());
+        let _ = self.shutdown_tx.try_send(());
         self.cmd_tx.waker.wake();
         match self.join.take() {
             Some(h) => h
@@ -364,29 +322,15 @@ impl DaemonConnector {
         self.pid
     }
 
-    /// As [`DaemonHandle::connect`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`DaemonHandle::connect`].
-    pub fn connect(&self, name: &str) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, crate::client::DEFAULT_EVENT_CAPACITY, None)
-    }
-
-    /// As [`DaemonHandle::connect_with_capacity`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`DaemonHandle::connect`].
-    pub fn connect_with_capacity(
-        &self,
-        name: &str,
-        capacity: usize,
-    ) -> Result<DaemonClient, ClientError> {
-        self.connect_inner(name, capacity, None)
-    }
-
-    /// As [`DaemonHandle::connect_service`].
+    /// Connects a service-tier session: like
+    /// [`DaemonHandle::connect`] with an explicit event-queue
+    /// capacity, but the session additionally receives a
+    /// [`ClientEvent::Ordered`] each time one of its own multicasts is
+    /// applied (the `ar-svc` tier replenishes per-client publish
+    /// credits at Agreed time), and the daemon loop calls `waker` once
+    /// after every dispatch batch that queued the session an event, so
+    /// the tier's polling thread drains it without waiting for its
+    /// next tick.
     ///
     /// # Errors
     ///
@@ -409,14 +353,21 @@ impl DaemonConnector {
         if name.is_empty() || name.len() > MAX_NAME {
             return Err(ClientError::InvalidName);
         }
-        let (events_tx, events_rx) = bounded(capacity.max(1));
-        let (ack_tx, ack_rx) = bounded(1);
+        // Unbounded, with the bound kept by `queued`: a preallocated
+        // `sync_channel(capacity)` would touch every slot up front.
+        let (events_tx, events_rx) = channel();
+        let (ack_tx, ack_rx) = sync_channel(1);
+        let queued = Arc::new(AtomicUsize::new(0));
         let drops = Arc::new(AtomicU64::new(0));
         self.cmd_tx.send(Command::Register {
             name: name.to_string(),
-            events: events_tx,
-            waker,
-            drops: Arc::clone(&drops),
+            session: Session {
+                tx: events_tx,
+                capacity: capacity.max(1),
+                queued: Arc::clone(&queued),
+                waker,
+                drops: Arc::clone(&drops),
+            },
             ack: ack_tx,
         })?;
         ack_rx
@@ -426,18 +377,27 @@ impl DaemonConnector {
             me: MemberId::new(self.pid, name),
             cmd_tx: self.cmd_tx.clone(),
             events: events_rx,
+            queued,
             dropped: drops,
         })
     }
 }
 
 /// A registered client session, as the daemon loop sees it.
-struct Session {
+#[derive(Debug)]
+pub(crate) struct Session {
     tx: Sender<ClientEvent>,
+    /// The queue's bound: an event that finds `capacity` queued is
+    /// dropped.
+    capacity: usize,
+    /// Events queued and not yet taken (shared with the client handle,
+    /// which decrements it).
+    queued: Arc<AtomicUsize>,
     /// Set for a service-tier session: it receives
     /// [`ClientEvent::Ordered`] for its own applied multicasts (the
-    /// tier's credit-replenishment signal) and its tier is woken after
-    /// a batch that queued it an event.
+    /// tier's credit-replenishment signal), and the tier's polling
+    /// thread is woken after every dispatch batch that queued it an
+    /// event.
     waker: Option<Waker>,
     /// Events dropped because the bounded queue was full (shared with
     /// the client handle / service tier).
@@ -450,7 +410,14 @@ impl Session {
     /// service-tier session's waker joins `to_wake` (once per target)
     /// for the end of the batch.
     fn push(&self, ev: ClientEvent, overflow: &Counter, to_wake: &mut Vec<Waker>) {
-        if self.tx.try_send(ev).is_err() {
+        // The ring thread is the queue's only producer, so the count
+        // cannot rise between the check and the send; the client only
+        // lowers it.
+        let sent = self.queued.load(Ordering::Relaxed) < self.capacity && {
+            self.queued.fetch_add(1, Ordering::Relaxed);
+            self.tx.send(ev).is_ok()
+        };
+        if !sent {
             self.drops.fetch_add(1, Ordering::Relaxed);
             overflow.add(1);
             return;
@@ -720,23 +687,13 @@ impl<T: Transport> DaemonLoop<T> {
 
     fn handle_command(&mut self, cmd: Command) {
         match cmd {
-            Command::Register {
-                name,
-                events,
-                waker,
-                drops,
-                ack,
-            } => {
+            Command::Register { name, session, ack } => {
                 let result = match self.sessions.entry(name) {
                     std::collections::hash_map::Entry::Occupied(_) => {
                         Err(ClientError::DuplicateName)
                     }
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(Session {
-                            tx: events,
-                            waker,
-                            drops,
-                        });
+                        e.insert(session);
                         Ok(())
                     }
                 };
@@ -1001,6 +958,48 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         false
+    }
+
+    #[test]
+    fn a_full_event_queue_drops_and_counts_until_drained() {
+        const CAP: usize = 4;
+        const OVER: u64 = 3;
+        let daemons = ring_of_daemons(1);
+        let sub = daemons[0]
+            .connector()
+            .connect_inner("sub", CAP, None)
+            .unwrap();
+        let publisher = daemons[0].connect("pub").unwrap();
+        sub.join("g").unwrap();
+        assert!(matches!(
+            sub.recv(Duration::from_secs(10)),
+            Some(ClientEvent::Membership { .. })
+        ));
+        let send = |k: usize| {
+            let payload = Bytes::from(format!("m{k}"));
+            publisher
+                .multicast(&["g"], ServiceType::Agreed, payload)
+                .unwrap();
+        };
+
+        // Nobody drains: CAP events queue, the rest are refused.
+        (0..CAP + OVER as usize).for_each(send);
+        assert!(wait_for(|| sub.dropped_events() == OVER, 10));
+        let queued = sub.drain();
+        assert_eq!(queued.len(), CAP);
+        assert!(queued
+            .iter()
+            .all(|ev| matches!(ev, ClientEvent::Message { .. })));
+
+        // Drained: the queue takes events again.
+        (0..2).for_each(send);
+        for _ in 0..2 {
+            assert!(matches!(
+                sub.recv(Duration::from_secs(10)),
+                Some(ClientEvent::Message { .. })
+            ));
+        }
+        assert_eq!(sub.dropped_events(), OVER);
     }
 
     #[test]

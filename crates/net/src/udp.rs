@@ -34,11 +34,12 @@
 //!   sockets, so another thread's command ends the wait at once.
 //!
 //! [`DatapathMode::Portable`] is the fallback for non-Linux platforms
-//! (and for A/B benchmarking via `AR_UDP_PORTABLE=1`): a loop of
-//! `send_to`/`recv_from` syscalls with the original 50 µs sleep-poll
-//! wait. The protocol semantics are identical in both modes; only the
-//! syscall count and wakeup latency differ. See DESIGN.md ("UDP
-//! datapath") for the full fallback matrix.
+//! (and can be bound explicitly anywhere with
+//! [`UdpTransport::bind_with_mode`]): a loop of `send_to`/`recv_from`
+//! syscalls with the original 50 µs sleep-poll wait. The protocol
+//! semantics are identical in both modes; only the syscall count and
+//! wakeup latency differ. See DESIGN.md ("UDP datapath") for the full
+//! fallback matrix.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -142,13 +143,9 @@ pub enum DatapathMode {
 
 impl DatapathMode {
     /// The default for this platform: [`Batched`](DatapathMode::Batched)
-    /// on Linux, [`Portable`](DatapathMode::Portable) elsewhere. Setting
-    /// the environment variable `AR_UDP_PORTABLE=1` forces the portable
-    /// path (used by CI to exercise the fallback, and by the
-    /// `udp_datapath` bench as the baseline).
+    /// on Linux, [`Portable`](DatapathMode::Portable) elsewhere.
     pub fn auto() -> DatapathMode {
-        if cfg!(target_os = "linux") && std::env::var_os("AR_UDP_PORTABLE").is_none_or(|v| v != "1")
-        {
+        if cfg!(target_os = "linux") {
             DatapathMode::Batched
         } else {
             DatapathMode::Portable

@@ -7,14 +7,12 @@
 //! [`SimTime`], and converts to/from the harness-neutral
 //! [`FaultSchedule`] so the same plan can drive a live nemesis run.
 
-use serde::{Deserialize, Serialize};
-
 pub use ar_core::fault::{Connectivity, FaultEvent, FaultSchedule};
 
 use crate::time::SimTime;
 
 /// A time-ordered schedule of fault events.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     events: Vec<(SimTime, FaultEvent)>,
 }

@@ -1,12 +1,10 @@
 //! Workload generation: the benchmark clients of the paper's
 //! evaluation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// How application messages are injected at each host.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoadMode {
     /// Open-loop fixed rate: each host's sending client injects
     /// messages at `aggregate_bps / n_hosts` payload bits per second,

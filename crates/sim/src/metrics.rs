@@ -1,7 +1,6 @@
 //! Measurement: latency statistics and the per-run report.
 
 use ar_telemetry::LogLinearHistogram;
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimDuration;
 
@@ -99,7 +98,7 @@ impl LatencyRecorder {
 }
 
 /// Summary statistics over recorded latencies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: u64,
@@ -118,7 +117,7 @@ pub struct LatencySummary {
 }
 
 /// The result of one simulated benchmark run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Offered aggregate application load, payload bits per second
     /// (`u64::MAX` rate runs report the configured value as 0).

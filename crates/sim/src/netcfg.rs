@@ -1,15 +1,13 @@
 //! Network configuration: link, switch, and socket-buffer parameters,
 //! with presets modeling the paper's two testbeds.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Parameters of the simulated switched LAN.
 ///
 /// The topology is fixed to the paper's: `n` hosts, each connected by a
 /// full-duplex link to one store-and-forward switch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Link bandwidth in bits per second (both directions).
     pub link_bps: u64,

@@ -21,12 +21,10 @@
 //! paper's Figures 1–6. The constants below were calibrated against the
 //! paper's reported maximum throughputs (see `EXPERIMENTS.md`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Cost model for one implementation tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImplProfile {
     /// Human-readable name ("library", "daemon", "spread").
     pub name: &'static str,

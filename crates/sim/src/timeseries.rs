@@ -1,8 +1,6 @@
 //! Time-series instrumentation: per-interval delivery counts, for
 //! plotting throughput over time (e.g. across a membership change).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Accumulates deliveries into fixed-width time buckets.
@@ -64,7 +62,7 @@ impl ThroughputSeries {
 
 /// Summary of a disruption visible in a throughput series: the gap
 /// (consecutive empty-ish buckets) and the recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Disruption {
     /// First bucket index whose count fell below the threshold.
     pub gap_start: usize,

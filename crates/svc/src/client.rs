@@ -255,6 +255,10 @@ pub struct SvcClient {
     unacked: u64,
     /// Highest delivery seq acked to the server.
     acked: u64,
+    /// Ticket of the last auto-ack queued: while no byte of it is
+    /// written, a later auto-ack raises its `through` in place, so a
+    /// backed-up socket holds at most one.
+    ack_ticket: Option<u64>,
     auto_ack: bool,
     evicted: Option<String>,
     /// Resume-token identity from the last Welcome.
@@ -313,6 +317,7 @@ impl SvcClient {
             next_publish_id: 0,
             unacked: 0,
             acked: 0,
+            ack_ticket: None,
             auto_ack: true,
             evicted: None,
             session: h.session,
@@ -594,9 +599,13 @@ impl SvcClient {
             } else {
                 if self.auto_ack && self.unacked > self.acked {
                     self.acked = self.unacked;
-                    self.wbuf.push(frame(&encode_client(&ClientFrame::Ack {
+                    let ack = frame(&encode_client(&ClientFrame::Ack {
                         through: self.acked,
-                    })));
+                    }));
+                    match self.ack_ticket {
+                        Some(t) if self.wbuf.replace(t, ack.clone()) => {}
+                        _ => self.ack_ticket = Some(self.wbuf.push(ack)),
+                    }
                 }
                 match self.write_queued() {
                     Ok(_) => break,

@@ -282,6 +282,11 @@ impl<T> FlowState<T> {
         self.acked = self.acked.max(through.min(self.sent));
     }
 
+    /// Highest delivery sequence queued (sent or pending).
+    pub fn queued_through(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Highest delivery sequence sent to the socket.
     pub fn sent(&self) -> u64 {
         self.sent

@@ -542,6 +542,12 @@ struct Session {
     dedup: DedupWindow,
     /// Last membership snapshot per joined group, replayed on resume.
     memberships: HashMap<String, Vec<MemberId>>,
+    /// Membership frames waiting for the deliveries queued ahead of
+    /// them, each tagged with the last delivery seq queued when it
+    /// arrived: a view change follows the old view's messages.
+    /// [`Server::fill_windows`] writes one once `flow.sent()` reaches
+    /// its tag.
+    held_views: VecDeque<(u64, ServerFrame)>,
     /// Sent-but-unacked Deliver frames, `(seq, framed bytes)`, oldest
     /// first — replayed above the client's cursor on resume.
     retained: VecDeque<(u64, Bytes)>,
@@ -969,7 +975,9 @@ impl Server {
         );
         // Replay: memberships first (so the application's view of who
         // is in each group is restored before deliveries resume), then
-        // every retained delivery above the cursor.
+        // every retained delivery above the cursor. The snapshot
+        // already holds every held view change.
+        sess.held_views.clear();
         for (group, members) in &sess.memberships {
             push_frame(
                 &mut conn.wbuf,
@@ -1051,6 +1059,7 @@ impl Server {
             last_stamp: HashMap::new(),
             dedup: DedupWindow::new(self.config.dedup_window),
             memberships: HashMap::new(),
+            held_views: VecDeque::new(),
             retained: VecDeque::new(),
             retained_bytes: 0,
             conn: Some(conn_id),
@@ -1239,13 +1248,14 @@ impl Server {
     }
 
     /// One sweep: converts queued daemon events into frames —
-    /// deliveries into the window-gated pending queue, membership and
-    /// network changes straight to the write buffer, Ordered acks into
-    /// credit grants (deferred while the ring is congested) — for every
-    /// session, then forwards the publishes the gates release. Runs for
-    /// parked sessions too: their queues keep filling, their grants are
-    /// recorded in the dedup window for recovery via republish, and
-    /// their gated publishes still go out.
+    /// deliveries into the window-gated pending queue, membership
+    /// changes behind the deliveries queued ahead of them (see
+    /// `Session::held_views`), network changes straight to the write
+    /// buffer, Ordered acks into credit grants (deferred while the ring
+    /// is congested) — for every session, then forwards the publishes
+    /// the gates release. Runs for parked sessions too: their queues
+    /// keep filling, their grants are recorded in the dedup window for
+    /// recovery via republish, and their gated publishes still go out.
     fn sweep(&mut self) {
         let congested = self
             .pressures
@@ -1326,7 +1336,13 @@ impl Server {
                         ClientEvent::Membership { group, members } => {
                             sess.memberships.insert(group.clone(), members.clone());
                             if let Some(w) = wbuf.as_deref_mut() {
-                                push_frame(w, &ServerFrame::Membership { group, members });
+                                let frame = ServerFrame::Membership { group, members };
+                                let after = sess.flow.queued_through();
+                                if after > sess.flow.sent() || !sess.held_views.is_empty() {
+                                    sess.held_views.push_back((after, frame));
+                                } else {
+                                    push_frame(w, &frame);
+                                }
                             }
                         }
                         ClientEvent::NetworkChange { daemons } => {
@@ -1440,6 +1456,15 @@ impl Server {
             }
             if sent > 0 {
                 stats.deliveries.add(sent);
+            }
+            if sess.dead {
+                continue;
+            }
+            let through = sess.flow.sent();
+            while let Some((_, frame)) =
+                sess.held_views.pop_front_if(|(after, _)| *after <= through)
+            {
+                push_frame(&mut conn.wbuf, &frame);
             }
         }
     }

@@ -630,12 +630,33 @@ pub(crate) struct WriteBuf {
     /// Bytes of the front chunk already written.
     offset: usize,
     total: usize,
+    /// Frames that left the queue (written, or taken): the front
+    /// frame's ticket.
+    gone: u64,
 }
 
 impl WriteBuf {
-    pub(crate) fn push(&mut self, bytes: Bytes) {
+    /// Queues a frame and returns its ticket for
+    /// [`replace`](Self::replace).
+    pub(crate) fn push(&mut self, bytes: Bytes) -> u64 {
         self.total += bytes.len();
         self.queue.push_back(bytes);
+        self.gone + self.queue.len() as u64 - 1
+    }
+
+    /// Swaps the frame `ticket` names for `bytes` while no byte of it
+    /// has been written; false once it is (partly) on the wire or
+    /// taken.
+    pub(crate) fn replace(&mut self, ticket: u64, bytes: Bytes) -> bool {
+        let Some(i) = ticket.checked_sub(self.gone).map(|i| i as usize) else {
+            return false;
+        };
+        if i >= self.queue.len() || (i == 0 && self.offset > 0) {
+            return false;
+        }
+        self.total = self.total - self.queue[i].len() + bytes.len();
+        self.queue[i] = bytes;
+        true
     }
 
     /// Bytes still owed to the socket.
@@ -683,6 +704,7 @@ impl WriteBuf {
     pub(crate) fn take(&mut self) -> Vec<Bytes> {
         self.offset = 0;
         self.total = 0;
+        self.gone += self.queue.len() as u64;
         self.queue.drain(..).collect()
     }
 
@@ -697,6 +719,7 @@ impl WriteBuf {
             }
             n -= left;
             self.queue.pop_front();
+            self.gone += 1;
             self.offset = 0;
         }
     }
@@ -1185,6 +1208,26 @@ mod tests {
         assert!(wbuf.flush(&mut sock, || writes += 1).unwrap());
         assert_eq!(sock.out, want);
         assert_eq!(writes, 5000_usize.div_ceil(MAX_IOV));
+    }
+
+    #[test]
+    fn replace_swaps_only_an_unwritten_frame() {
+        let mut wbuf = WriteBuf::default();
+        let a = wbuf.push(Bytes::from_static(A));
+        let b = wbuf.push(Bytes::from_static(B));
+        let mut sock = Scripted::new(&[Some(1), None]);
+        assert!(!wbuf.flush(&mut sock, || {}).unwrap());
+        assert!(!wbuf.replace(a, Bytes::from_static(C)), "partly written");
+        assert!(wbuf.replace(b, Bytes::from_static(C)));
+        assert_eq!(wbuf.len(), A.len() - 1 + C.len());
+        assert!(wbuf.flush(&mut sock, || {}).unwrap());
+        assert_eq!(sock.out, [A, C].concat());
+        assert!(!wbuf.replace(b, Bytes::from_static(B)), "written");
+        let c = wbuf.push(Bytes::from_static(A));
+        wbuf.take();
+        let d = wbuf.push(Bytes::from_static(B));
+        assert!(!wbuf.replace(c, Bytes::from_static(C)), "taken");
+        assert!(wbuf.replace(d, Bytes::from_static(C)));
     }
 
     #[test]

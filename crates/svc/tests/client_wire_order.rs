@@ -8,6 +8,8 @@
 //! * a peer that stops reading backs the client's queue up without
 //!   blocking any call, and once it reads again every frame arrives
 //!   whole and in order;
+//! * auto-acks queued behind a backed-up socket coalesce: the peer
+//!   reads one `Ack`, carrying the highest delivery seq;
 //! * after a resume the client re-sends each ungranted publish once:
 //!   the ones already written first, then the ones still queued.
 
@@ -18,7 +20,8 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ar_core::ServiceType;
+use ar_core::{ParticipantId, ServiceType};
+use ar_daemon::MemberId;
 use ar_svc::wire::{decode_client, encode_client, frame, frame_server, FrameBuf};
 use ar_svc::{ClientFrame, ServerFrame, SvcClient, SvcEvent, PROTOCOL_VERSION};
 use bytes::Bytes;
@@ -229,6 +232,85 @@ fn a_backed_up_queue_arrives_whole_and_in_order() {
     drop(client);
     want.push(ClientFrame::Goodbye);
     assert_eq!(tier.join().expect("tier"), want);
+}
+
+#[test]
+fn auto_acks_behind_a_backed_up_socket_coalesce_into_one() {
+    const PUBLISHES: u64 = 64;
+    // 16 MiB of publishes: more than a loopback connection's socket
+    // buffers hold, so every later frame waits behind them.
+    const PAYLOAD: usize = 256 * 1024;
+    const ROUNDS: u64 = 4;
+    const PER_ROUND: u64 = 3;
+    let (listener, addr) = listen();
+    let (round_tx, round_rx) = mpsc::channel::<Option<u64>>();
+    let tier = std::thread::spawn(move || {
+        let (mut peer, _) = Peer::accept(&listener, PUBLISHES as u32, false);
+        // Deliveries only, never a read, until told to read.
+        while let Some(round) = round_rx.recv().unwrap() {
+            for seq in round * PER_ROUND + 1..=(round + 1) * PER_ROUND {
+                peer.send(&ServerFrame::Deliver {
+                    seq,
+                    ring_seq: seq,
+                    shard: 0,
+                    service: ServiceType::Agreed,
+                    sender: MemberId::new(ParticipantId::new(0), "other"),
+                    groups: vec!["a".into()],
+                    payload: Bytes::from_static(b"d"),
+                });
+            }
+        }
+        let mut got = Vec::new();
+        while let Some(f) = peer.next() {
+            got.push(f);
+        }
+        got
+    });
+
+    let mut client = SvcClient::connect_tcp(addr, "acks").expect("connect");
+    for _ in 0..PUBLISHES {
+        client
+            .try_publish(&["a"], ServiceType::Agreed, Bytes::from(vec![0; PAYLOAD]))
+            .expect("publish within credits");
+    }
+    client.flush();
+    assert!(client.queued_bytes() > 0, "the socket never pushed back");
+    // Each round's pump consumes new deliveries, so each owes an ack.
+    let deadline = Instant::now() + DEADLINE;
+    for round in 0..ROUNDS {
+        round_tx.send(Some(round)).unwrap();
+        let mut seen = 0;
+        while seen < PER_ROUND {
+            assert!(
+                Instant::now() < deadline,
+                "round {round}: {seen} deliveries"
+            );
+            if let Some(SvcEvent::Deliver { .. }) = client.recv(Duration::from_millis(10)) {
+                seen += 1;
+            }
+        }
+        client.pump().expect("pump");
+    }
+
+    round_tx.send(None).unwrap();
+    while client.queued_bytes() > 0 {
+        assert!(Instant::now() < deadline, "the backlog never drained");
+        client.flush();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(client);
+    let acks: Vec<ClientFrame> = tier
+        .join()
+        .expect("tier")
+        .into_iter()
+        .filter(|f| matches!(f, ClientFrame::Ack { .. }))
+        .collect();
+    assert_eq!(
+        acks,
+        vec![ClientFrame::Ack {
+            through: ROUNDS * PER_ROUND
+        }]
+    );
 }
 
 #[test]

@@ -602,28 +602,27 @@ fn a_dropped_client_sends_its_queued_publishes_before_leaving() {
     }
     drop(publisher);
 
-    // The tier writes a Membership frame as soon as it drains it, ahead
-    // of deliveries still waiting for window space, so the leave is not
-    // ordered against the deliveries here: both must arrive.
-    let (mut got, mut left) = (Vec::new(), false);
+    // The leave is ordered after the publishes, and the view change
+    // follows the old view's messages: all N deliveries, then the leave.
+    let mut got = Vec::new();
     let deadline = Instant::now() + DEADLINE;
-    while got.len() < N || !left {
-        assert!(
-            Instant::now() < deadline,
-            "got {got:?}, publisher left: {left}"
-        );
+    loop {
+        assert!(Instant::now() < deadline, "got {got:?}, no leave");
         match sub.recv(Duration::from_millis(100)) {
             Some(SvcEvent::Deliver { payload, .. }) => {
                 got.push(String::from_utf8(payload.to_vec()).unwrap());
             }
-            Some(SvcEvent::Membership { group, members }) if group == "g" => {
-                left = members.len() == 1;
+            Some(SvcEvent::Membership { group, members }) if group == "g" && members.len() == 1 => {
+                break
             }
             _ => {}
         }
     }
     let want: Vec<String> = (0..N).map(|k| format!("m{k}")).collect();
-    assert_eq!(got, want, "every queued publish, in order");
+    assert_eq!(
+        got, want,
+        "every queued publish, in order, before the leave"
+    );
     drop(sub);
     svc.shutdown().expect("clean shutdown");
 }

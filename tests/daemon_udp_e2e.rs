@@ -3,7 +3,7 @@
 //! ordered messages — the full stack the paper ships (protocol +
 //! daemon architecture + dual-socket UDP transport).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use accelerated_ring::core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType};
@@ -13,13 +13,21 @@ use accelerated_ring::daemon::{
 use accelerated_ring::net::{DatapathMode, PeerMap, Release, UdpTransport};
 use bytes::Bytes;
 
+/// Held by the two tests that must not run side by side: the portable
+/// ring's token never parks, and the idle-hold test counts tokens and
+/// asserts no regather.
+static NO_SPINNING_RING: Mutex<()> = Mutex::new(());
+
 fn udp_daemons(n: u16, base_port: u16) -> Option<Vec<DaemonHandle>> {
-    udp_daemons_with(n, base_port, |_| DaemonConfig::default())
+    udp_daemons_with(n, base_port, DatapathMode::auto(), |_| {
+        DaemonConfig::default()
+    })
 }
 
 fn udp_daemons_with(
     n: u16,
     base_port: u16,
+    mode: DatapathMode,
     config: impl Fn(usize) -> DaemonConfig,
 ) -> Option<Vec<DaemonHandle>> {
     // Probe for a free port range (tests may run concurrently).
@@ -31,7 +39,7 @@ fn udp_daemons_with(
         let mut transports = Vec::new();
         let mut ok = true;
         for &p in &members {
-            match UdpTransport::bind(p, map.clone()) {
+            match UdpTransport::bind_with_mode(p, map.clone(), mode) {
                 Ok(t) => transports.push(t),
                 Err(_) => {
                     ok = false;
@@ -106,6 +114,27 @@ fn udp_ring_total_order_across_daemons() {
         eprintln!("skipping: no free UDP port range");
         return;
     };
+    total_order_across(daemons);
+}
+
+/// The daemons over the portable datapath, which non-Linux hosts run
+/// by default: no `ppoll` wait, so the wake is declined and the token
+/// never parks.
+#[test]
+fn udp_ring_total_order_on_the_portable_datapath() {
+    let _alone = NO_SPINNING_RING.lock().unwrap_or_else(|e| e.into_inner());
+    let Some(daemons) = udp_daemons_with(3, 58000, DatapathMode::Portable, |_| {
+        DaemonConfig::default()
+    }) else {
+        eprintln!("skipping: no free UDP port range");
+        return;
+    };
+    total_order_across(daemons);
+}
+
+/// One client per daemon multicasts three Agreed messages; all of them
+/// deliver all nine in one order.
+fn total_order_across(daemons: Vec<DaemonHandle>) {
     let clients = join_everyone(&daemons, "orders");
 
     // Every client multicasts; everyone must deliver all 9 messages in
@@ -212,8 +241,9 @@ fn idle_ring_parks_its_token_and_publishers_get_it_back() {
         eprintln!("skipping: the portable datapath never holds the token");
         return;
     }
+    let _alone = NO_SPINNING_RING.lock().unwrap_or_else(|e| e.into_inner());
     let hubs: Vec<Arc<TelemetryHub>> = (0..3).map(|_| TelemetryHub::shared()).collect();
-    let Some(daemons) = udp_daemons_with(3, 47400, |i| DaemonConfig {
+    let Some(daemons) = udp_daemons_with(3, 47400, DatapathMode::auto(), |i| DaemonConfig {
         telemetry: Some(Arc::clone(&hubs[i])),
         ..DaemonConfig::default()
     }) else {

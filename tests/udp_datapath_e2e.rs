@@ -1,8 +1,7 @@
 //! End-to-end: a 2-node ring over real UDP sockets keeps total
 //! ordering while an attacker blasts garbage datagrams at both of each
-//! node's sockets. Exercises the batched datapath and the portable
-//! fallback (the `AR_UDP_PORTABLE` CI job forces the latter through
-//! `DatapathMode::auto` as well).
+//! node's sockets. Exercises the platform default, the batched
+//! datapath and the portable fallback, each bound explicitly.
 
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
