@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ar_bench::{write_bench_json, BenchPoint};
-use ar_core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType};
+use ar_core::{Participant, ParticipantId, ProtocolConfig, RingId, ServiceType, SplitMix64};
 use ar_daemon::{serve_metrics, spawn_daemon_with, DaemonConfig, DaemonHandle, TelemetryHub};
 use ar_net::LoopbackNet;
 use ar_svc::{
@@ -68,21 +68,9 @@ struct ScaleResult {
     elapsed: Duration,
 }
 
-/// Deterministic SplitMix64, the repo's standard seedable stream.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
+/// Uniform in `[0, 1)` from the top 53 bits of the next draw.
+fn unit_f64(rng: &mut SplitMix64) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Cumulative Zipf(s) distribution over `n` ranks.
@@ -105,7 +93,7 @@ impl Zipf {
     }
 
     fn sample(&self, rng: &mut SplitMix64) -> usize {
-        let u = rng.f64();
+        let u = unit_f64(rng);
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
@@ -242,7 +230,7 @@ fn run_scale(
             let delivered = Arc::clone(&delivered);
             let stalls = Arc::clone(&stalls);
             std::thread::spawn(move || {
-                let mut rng = SplitMix64(seed ^ (w as u64).wrapping_mul(0x9e3779b97f4a7c15));
+                let mut rng = SplitMix64::new(seed ^ (w as u64).wrapping_mul(0x9e3779b97f4a7c15));
                 let zipf = Zipf::new(GROUPS, ZIPF_S);
                 let mut mine: Vec<GenClient> = Vec::new();
                 for i in (w..clients).step_by(WORKERS) {
@@ -254,7 +242,7 @@ fn run_scale(
                     let _ = client.join(&group);
                     // Stagger burst phases so the aggregate is
                     // open-loop-smooth, each client individually bursty.
-                    let phase = burst_period.mul_f64(rng.f64());
+                    let phase = burst_period.mul_f64(unit_f64(&mut rng));
                     mine.push(GenClient {
                         client,
                         group,
@@ -269,8 +257,8 @@ fn run_scale(
                 // Each worker churns at 1/WORKERS of the aggregate
                 // kill rate, phase-staggered so severs spread out.
                 let worker_churn = churn_every.map(|p| p * WORKERS as u32);
-                let mut next_churn =
-                    worker_churn.map(|p| epoch + Duration::from_millis(500) + p.mul_f64(rng.f64()));
+                let mut next_churn = worker_churn
+                    .map(|p| epoch + Duration::from_millis(500) + p.mul_f64(unit_f64(&mut rng)));
                 let mut churn_idx = w;
                 while Instant::now() < deadline {
                     let now = Instant::now();
@@ -287,7 +275,7 @@ fn run_scale(
                         // not the last one completed.
                         while gc.next_burst <= now {
                             gc.next_burst += gc.period;
-                            let target = if rng.next().is_multiple_of(4) {
+                            let target = if rng.next_u64().is_multiple_of(4) {
                                 format!("g{}", zipf.sample(&mut rng))
                             } else {
                                 gc.group.clone()

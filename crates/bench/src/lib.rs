@@ -2,7 +2,7 @@
 //!
 //! One runnable binary per figure of "Fast Total Ordering for Modern
 //! Data Centers" (Babay & Amir, ICDCS 2016), plus the maximum-throughput
-//! table, ablation sweeps, and Criterion micro-benchmarks.
+//! table and ablation sweeps.
 //!
 //! | Target | Reproduces |
 //! |---|---|

@@ -23,6 +23,8 @@
 
 use std::time::Duration;
 
+use crate::SplitMix64;
+
 /// Deterministic doubling backoff expressed as a capped shift count.
 ///
 /// `scale(base, cap)` returns `min(base << shift, cap)`; [`step`]
@@ -104,15 +106,7 @@ pub struct Backoff {
     cfg: BackoffConfig,
     prev: Duration,
     attempt: u32,
-    rng: u64,
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    rng: SplitMix64,
 }
 
 impl Backoff {
@@ -124,7 +118,7 @@ impl Backoff {
             cfg,
             prev: cfg.base,
             attempt: 0,
-            rng: seed,
+            rng: SplitMix64::new(seed),
         }
     }
 
@@ -149,7 +143,7 @@ impl Backoff {
             .saturating_mul(3)
             .clamp(base.saturating_add(1), cap.max(base.saturating_add(1)));
         let span = hi - base;
-        let jittered = base + splitmix(&mut self.rng) % (span + 1);
+        let jittered = base + self.rng.below(span + 1);
         let delay = Duration::from_nanos(jittered.min(cap));
         self.prev = delay;
         Some(delay)

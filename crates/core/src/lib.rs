@@ -73,6 +73,7 @@ pub mod priority;
 pub mod recvbuf;
 pub mod ring;
 pub mod sendq;
+pub mod splitmix;
 pub mod statehash;
 pub mod stats;
 pub mod types;
@@ -95,6 +96,7 @@ pub use priority::PriorityMode;
 pub use recvbuf::RecvBuffer;
 pub use ring::RingInfo;
 pub use sendq::QueueFull;
+pub use splitmix::SplitMix64;
 pub use statehash::{StateHash, StateHasher};
 pub use stats::ParticipantStats;
 pub use types::{ParticipantId, RingId, Round, Seq, ServiceType};

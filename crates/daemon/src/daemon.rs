@@ -220,18 +220,21 @@ pub fn spawn_daemon_with<T: Transport + Send + 'static>(
     let (shutdown_tx, shutdown_rx) = sync_channel::<()>(1);
     let pressure = Arc::new(RingPressure::default());
     let pressure2 = Arc::clone(&pressure);
-    let join = std::thread::spawn(move || {
-        DaemonLoop::new(
-            part,
-            transport,
-            config,
-            cmd_rx,
-            shutdown_rx,
-            pressure2,
-            wake,
-        )?
-        .run()
-    });
+    let join = std::thread::Builder::new()
+        .name(format!("ar-ring-{}", config.shard.unwrap_or(0)))
+        .spawn(move || {
+            DaemonLoop::new(
+                part,
+                transport,
+                config,
+                cmd_rx,
+                shutdown_rx,
+                pressure2,
+                wake,
+            )?
+            .run()
+        })
+        .expect("spawn daemon thread");
     DaemonHandle {
         pid,
         cmd_tx: CommandTx { tx, waker },
@@ -958,6 +961,34 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         false
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_ring_thread_is_named_after_its_shard() {
+        let net = LoopbackNet::new();
+        let pid = ParticipantId::new(0);
+        let part = Participant::new(
+            pid,
+            ProtocolConfig::accelerated(),
+            RingId::new(pid, 1),
+            vec![pid],
+        )
+        .unwrap();
+        let config = DaemonConfig {
+            shard: Some(1),
+            ..DaemonConfig::default()
+        };
+        let daemon = spawn_daemon_with(part, net.endpoint(pid), config);
+        // The new thread sets its own name as it starts, so poll.
+        let named = || {
+            std::fs::read_dir("/proc/self/task")
+                .unwrap()
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .any(|comm| comm.trim_end() == "ar-ring-1")
+        };
+        assert!(wait_for(named, 10));
+        daemon.shutdown().unwrap();
     }
 
     #[test]

@@ -23,14 +23,13 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ar_core::ParticipantStats;
 use ar_telemetry::json::JsonWriter;
 use ar_telemetry::{FlightRecorder, MetricsRegistry};
-use parking_lot::Mutex;
 
 /// Events the daemon's flight recorder retains.
 const FLIGHT_CAPACITY: usize = 512;
@@ -83,13 +82,16 @@ impl TelemetryHub {
     /// Replaces one shard's stats snapshot (called by that shard's
     /// daemon loop).
     pub fn update_shard_stats(&self, shard: usize, stats: ParticipantStats) {
-        self.stats.lock().insert(shard, stats);
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(shard, stats);
     }
 
     /// The latest protocol-counter snapshot, aggregated (field-wise
     /// sum) over every shard slot.
     pub fn stats(&self) -> ParticipantStats {
-        let m = self.stats.lock();
+        let m = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         let mut total = ParticipantStats::default();
         for s in m.values() {
             add_stats(&mut total, s);
@@ -99,7 +101,11 @@ impl TelemetryHub {
 
     /// One shard's latest snapshot, if that shard has reported.
     pub fn shard_stats(&self, shard: usize) -> Option<ParticipantStats> {
-        self.stats.lock().get(&shard).copied()
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&shard)
+            .copied()
     }
 
     /// Renders the Prometheus exposition: the registry plus the
@@ -369,19 +375,21 @@ pub fn serve_metrics<A: ToSocketAddrs>(
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
-    let join = std::thread::spawn(move || {
-        while !stop2.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = handle_request(stream, &hub);
+    let join = std::thread::Builder::new()
+        .name("ar-metrics".into())
+        .spawn(move || {
+            while !stop2.load(Ordering::SeqCst) {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        let _ = handle_request(stream, &hub);
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
-        }
-    });
+        })?;
     Ok(MetricsServer {
         local_addr,
         stop,

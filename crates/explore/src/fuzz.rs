@@ -29,45 +29,12 @@
 //! alone — both are printed in every failure record.
 
 use ar_core::wire::{self, Message};
+pub use ar_core::SplitMix64;
 use ar_core::{
     CommitToken, DataMessage, JoinMessage, MemberInfo, ParticipantId, RingId, Round, Seq,
     ServiceType, Token,
 };
 use bytes::Bytes;
-
-/// Small, fast, well-distributed PRNG (Steele et al., the Java
-/// `SplitMix64` generator). Deterministic across platforms; good
-/// enough for mutation scheduling, not for cryptography.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Seeds the generator.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..n` (`n > 0`).
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
-    /// True with probability `num/denom`.
-    pub fn chance(&mut self, num: u64, denom: u64) -> bool {
-        self.below(denom) < num
-    }
-}
 
 /// Fuzzer parameters.
 #[derive(Debug, Clone)]
@@ -446,16 +413,6 @@ pub fn report_to_json(cfg: &FuzzConfig, report: &FuzzReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic_and_nontrivial() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_eq!(xs, ys);
-        assert!(xs.windows(2).any(|w| w[0] != w[1]));
-    }
 
     #[test]
     fn valid_frames_always_roundtrip() {

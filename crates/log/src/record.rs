@@ -9,7 +9,8 @@
 //! +-------+------+-------+----------+---------+- - - - - -+
 //! ```
 //!
-//! big-endian, `magic = 0xA7`. The CRC-32 covers kind, flags, the
+//! big-endian, `magic = 0xA7`; every writer sets `flags = 0`, and a
+//! reader refuses any other value. The CRC-32 covers kind, flags, the
 //! length field, and the payload — everything except the magic byte and
 //! the CRC itself — so a torn write, a bit flip, or a stale block
 //! anywhere in the record is detected. Decoding stops at the **first**
@@ -111,6 +112,9 @@ pub enum RecordError {
     /// The kind byte named no known record kind (CRC matched, so this
     /// is a format version we do not understand).
     UnknownKind(u8),
+    /// The flags byte was not 0 (CRC matched, so this is a format
+    /// version we do not understand).
+    UnknownFlags(u8),
     /// The payload was shorter or longer than its kind's layout.
     MalformedPayload(&'static str),
 }
@@ -131,6 +135,7 @@ impl std::fmt::Display for RecordError {
             }
             RecordError::LengthOutOfRange(len) => write!(f, "record length {len} out of range"),
             RecordError::UnknownKind(k) => write!(f, "unknown record kind {k}"),
+            RecordError::UnknownFlags(b) => write!(f, "unknown record flags {b:#04x}"),
             RecordError::MalformedPayload(what) => write!(f, "malformed record payload: {what}"),
         }
     }
@@ -231,6 +236,9 @@ pub fn decode_record(buf: &[u8]) -> Result<Option<(LogRecord, usize)>, RecordErr
     if computed != stored {
         return Err(RecordError::BadCrc { stored, computed });
     }
+    if flags != 0 {
+        return Err(RecordError::UnknownFlags(flags));
+    }
     let mut r = Reader::new(body);
     let rec = match kind {
         k if k == Kind::Delivery as u8 => LogRecord::Delivery(DeliveryRecord {
@@ -325,6 +333,18 @@ mod tests {
             assert!(decode_record(&buf).is_err(), "bit flip {bit} undetected");
             buf[bit / 8] ^= 1 << (bit % 8);
         }
+    }
+
+    #[test]
+    fn nonzero_flags_are_rejected_even_with_a_valid_crc() {
+        let mut buf = Vec::new();
+        encode_record(&sample_delivery(), &mut buf);
+        buf[2] = 1;
+        let mut crc = Crc32::new();
+        crc.update(&buf[1..7]);
+        crc.update(&buf[RECORD_HEADER_LEN..]);
+        buf[7..11].copy_from_slice(&crc.finish().to_be_bytes());
+        assert_eq!(decode_record(&buf), Err(RecordError::UnknownFlags(1)));
     }
 
     #[test]

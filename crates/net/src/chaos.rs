@@ -28,11 +28,10 @@
 
 use std::collections::HashSet;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ar_core::{Message, ParticipantId};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -233,46 +232,52 @@ impl ChaosControl {
 
     /// Blackholes the endpoint: everything in and out is dropped.
     pub fn crash(&self) {
-        self.state.lock().crashed = true;
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.crashed = true;
     }
 
     /// Clears a [`crash`](ChaosControl::crash): traffic flows again.
     pub fn restart(&self) {
-        self.state.lock().crashed = false;
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.crashed = false;
     }
 
     /// True while the endpoint is blackholed.
     pub fn is_crashed(&self) -> bool {
-        self.state.lock().crashed
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.crashed
     }
 
     /// Blocks outbound traffic towards `pid` (one-way).
     pub fn block_to(&self, pid: ParticipantId) {
-        self.state.lock().blocked_to.insert(pid);
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.blocked_to.insert(pid);
     }
 
     /// Blocks inbound traffic from `pid` (one-way; sender-carrying
     /// messages only — see the module docs).
     pub fn block_from(&self, pid: ParticipantId) {
-        self.state.lock().blocked_from.insert(pid);
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.blocked_from.insert(pid);
     }
 
     /// Replaces the outbound block set wholesale.
     pub fn set_blocked_to(&self, pids: impl IntoIterator<Item = ParticipantId>) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.blocked_to = pids.into_iter().collect();
     }
 
     /// Clears every block in both directions.
     pub fn heal(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.blocked_to.clear();
         st.blocked_from.clear();
     }
 
     /// A snapshot of the per-kind counters.
     pub fn stats(&self) -> ChaosStats {
-        self.state.lock().stats
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.stats
     }
 }
 
@@ -382,7 +387,13 @@ impl<T: Transport> ChaosTransport<T> {
         // Multicast under an active outbound block: decompose into
         // per-peer unicasts when the peer set is known.
         if matches!(target, Target::Multicast) {
-            let has_blocks = !self.control.state.lock().blocked_to.is_empty();
+            let has_blocks = !self
+                .control
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .blocked_to
+                .is_empty();
             if let (true, Some(peers)) = (has_blocks, self.peers.clone()) {
                 let me = self.inner.local_pid();
                 for peer in peers {
@@ -405,7 +416,11 @@ impl<T: Transport> ChaosTransport<T> {
         kind: MsgKind,
     ) -> io::Result<()> {
         {
-            let mut st = self.control.state.lock();
+            let mut st = self
+                .control
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let blocked =
                 st.crashed || matches!(target, Target::Unicast(to) if st.blocked_to.contains(&to));
             if blocked {
@@ -414,7 +429,13 @@ impl<T: Transport> ChaosTransport<T> {
             }
         }
         if self.roll(self.cfg.drop_prob) {
-            self.control.state.lock().stats.kind_mut(kind).dropped += 1;
+            self.control
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .stats
+                .kind_mut(kind)
+                .dropped += 1;
             return Ok(());
         }
         let duplicate = self.roll(self.cfg.dup_prob);
@@ -427,13 +448,21 @@ impl<T: Transport> ChaosTransport<T> {
                 .gen_range(0..self.cfg.max_delay.as_nanos().max(1) as u64);
             let release = Instant::now() + Duration::from_nanos(nanos);
             self.delayed.push((release, target, msg.clone()));
-            let mut st = self.control.state.lock();
+            let mut st = self
+                .control
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let k = st.stats.kind_mut(kind);
             k.delayed += 1;
             k.sent += 1;
         } else if reorder && self.reorder_slot.is_none() {
             self.reorder_slot = Some((Instant::now(), target, msg.clone()));
-            let mut st = self.control.state.lock();
+            let mut st = self
+                .control
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let k = st.stats.kind_mut(kind);
             k.delayed += 1;
             k.sent += 1;
@@ -444,11 +473,23 @@ impl<T: Transport> ChaosTransport<T> {
             if let Some((_, held_target, held)) = self.reorder_slot.take() {
                 self.send_raw(held_target, &held)?;
             }
-            self.control.state.lock().stats.kind_mut(kind).sent += 1;
+            self.control
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .stats
+                .kind_mut(kind)
+                .sent += 1;
         }
         if duplicate {
             self.send_raw(target, msg)?;
-            self.control.state.lock().stats.kind_mut(kind).duplicated += 1;
+            self.control
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .stats
+                .kind_mut(kind)
+                .duplicated += 1;
         }
         Ok(())
     }
@@ -462,7 +503,11 @@ impl<T: Transport> ChaosTransport<T> {
             Message::Token(_) | Message::Commit(_) => None,
         };
         {
-            let st = self.control.state.lock();
+            let st = self
+                .control
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             if st.crashed {
                 return true;
             }
@@ -500,13 +545,25 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             };
             let kind = MsgKind::of(&msg);
             if self.drop_inbound(&msg) {
-                self.control.state.lock().stats.kind_mut(kind).recv_dropped += 1;
+                self.control
+                    .state
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .stats
+                    .kind_mut(kind)
+                    .recv_dropped += 1;
                 if Instant::now() >= deadline {
                     return Ok(None);
                 }
                 continue;
             }
-            self.control.state.lock().stats.kind_mut(kind).received += 1;
+            self.control
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .stats
+                .kind_mut(kind)
+                .received += 1;
             return Ok(Some(msg));
         }
     }
@@ -539,9 +596,21 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             for msg in batch {
                 let kind = MsgKind::of(&msg);
                 if self.drop_inbound(&msg) {
-                    self.control.state.lock().stats.kind_mut(kind).recv_dropped += 1;
+                    self.control
+                        .state
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .stats
+                        .kind_mut(kind)
+                        .recv_dropped += 1;
                 } else {
-                    self.control.state.lock().stats.kind_mut(kind).received += 1;
+                    self.control
+                        .state
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .stats
+                        .kind_mut(kind)
+                        .received += 1;
                     out.push(msg);
                     appended += 1;
                 }
@@ -593,8 +662,12 @@ mod tests {
     }
 
     fn drain(t: &mut impl Transport) -> usize {
+        // A chaos `recv` that drops a copy after its timeout has passed
+        // returns `None` with copies still queued, so a test thread
+        // descheduled mid-drain stops early unless the timeout covers
+        // the stall.
         let mut got = 0;
-        while t.recv(false, Duration::from_millis(2)).unwrap().is_some() {
+        while t.recv(false, Duration::from_millis(50)).unwrap().is_some() {
             got += 1;
         }
         got

@@ -11,9 +11,8 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use ar_core::{Message, ParticipantId};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::transport::{is_token_channel, Transport};
 
@@ -39,7 +38,7 @@ impl Mailbox {
     }
 
     fn push(&self, msg: Message) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if is_token_channel(&msg) {
             st.token.push_back(msg);
         } else {
@@ -59,7 +58,7 @@ impl Mailbox {
 
     fn pop(&self, prefer_token: bool, timeout: Duration) -> Option<Message> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(m) = Self::take(&mut st, prefer_token) {
                 return Some(m);
@@ -68,7 +67,11 @@ impl Mailbox {
             if remaining.is_zero() {
                 return None;
             }
-            self.available.wait_for(&mut st, remaining);
+            st = self
+                .available
+                .wait_timeout(st, remaining)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
@@ -86,13 +89,17 @@ impl Mailbox {
             return 0;
         }
         let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         while st.token.is_empty() && st.data.is_empty() {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return 0;
             }
-            self.available.wait_for(&mut st, remaining);
+            st = self
+                .available
+                .wait_timeout(st, remaining)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         let mut n = 0;
         while n < max {
@@ -110,7 +117,7 @@ impl Mailbox {
 
 impl std::fmt::Debug for Mailbox {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         write!(
             f,
             "Mailbox({} token, {} data)",
@@ -169,7 +176,7 @@ impl LoopbackNet {
     /// Panics if `pid` is already attached.
     pub fn endpoint(&self, pid: ParticipantId) -> LoopbackTransport {
         let mailbox = Arc::new(Mailbox::new());
-        let mut hub = self.hub.lock();
+        let mut hub = self.hub.lock().unwrap_or_else(PoisonError::into_inner);
         let prev = hub.peers.insert(pid, Arc::clone(&mailbox));
         assert!(prev.is_none(), "{pid} already attached");
         LoopbackTransport {
@@ -182,12 +189,20 @@ impl LoopbackNet {
     /// Detaches an endpoint (its queued messages are dropped once the
     /// transport is also dropped).
     pub fn detach(&self, pid: ParticipantId) {
-        self.hub.lock().peers.remove(&pid);
+        self.hub
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .peers
+            .remove(&pid);
     }
 
     /// Number of attached endpoints.
     pub fn len(&self) -> usize {
-        self.hub.lock().peers.len()
+        self.hub
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .peers
+            .len()
     }
 
     /// True if no endpoints are attached.
@@ -210,7 +225,13 @@ impl Transport for LoopbackTransport {
     }
 
     fn send_to(&mut self, to: ParticipantId, msg: &Message) -> io::Result<()> {
-        let target = self.hub.lock().peers.get(&to).cloned();
+        let target = self
+            .hub
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .peers
+            .get(&to)
+            .cloned();
         if let Some(mailbox) = target {
             mailbox.push(msg.clone());
         }
@@ -219,7 +240,7 @@ impl Transport for LoopbackTransport {
 
     fn multicast(&mut self, msg: &Message) -> io::Result<()> {
         let targets: Vec<Arc<Mailbox>> = {
-            let hub = self.hub.lock();
+            let hub = self.hub.lock().unwrap_or_else(PoisonError::into_inner);
             hub.peers
                 .iter()
                 .filter(|(&pid, _)| pid != self.pid)
@@ -249,7 +270,11 @@ impl Transport for LoopbackTransport {
 
 impl Drop for LoopbackTransport {
     fn drop(&mut self) {
-        self.hub.lock().peers.remove(&self.pid);
+        self.hub
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .peers
+            .remove(&self.pid);
     }
 }
 

@@ -1162,10 +1162,15 @@ mod tests {
 
     /// An interval fsync is owed even when nothing arrives: an idle
     /// runtime's wait ends at the log's next sync instant instead of
-    /// sleeping out `MAX_POLL`.
+    /// sleeping out its wait cap.
     #[test]
     fn idle_runtime_honours_the_fsync_interval() {
         use ar_log::{FsyncPolicy, LogConfig};
+        // A wait that ignored the sync instant would run the whole cap.
+        // The cap and the participant timers sit far above the 1 ms
+        // interval, so an fsync or a descheduled test thread on a
+        // loaded box cannot push an honoured wait past the bound.
+        const WAIT_CAP: Duration = Duration::from_secs(1);
 
         let dir = std::env::temp_dir().join(format!(
             "ar-net-interval-test-{}-{:?}",
@@ -1175,7 +1180,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         // Only the representative steps: its peer never answers, so
         // nothing arrives and only timers end its waits.
-        let mut ring = build_ring(2);
+        let net = LoopbackNet::new();
+        let members = pids(2);
+        let ring_id = RingId::new(members[0], 1);
+        let mut ring: Vec<_> = members
+            .iter()
+            .map(|&p| {
+                let mut part =
+                    Participant::new(p, ProtocolConfig::accelerated(), ring_id, members.clone())
+                        .unwrap();
+                part.set_timeouts(ar_core::TimeoutConfig {
+                    token_retransmit: 2_000_000_000,
+                    token_loss: 20_000_000_000,
+                    ..ar_core::TimeoutConfig::default()
+                })
+                .unwrap();
+                Runtime::new(part, net.endpoint(p))
+            })
+            .collect();
         let rt = &mut ring[0];
         let (log, _) =
             SegmentedLog::open(LogConfig::new(&dir).with_fsync(FsyncPolicy::IntervalMs(1)))
@@ -1189,11 +1211,11 @@ mod tests {
         let log = rt.durable_log().unwrap();
         assert_eq!(log.unsynced_records(), 1, "the delivery is appended");
         let start = Instant::now();
-        rt.step().unwrap();
+        rt.step_with_wait(WAIT_CAP).unwrap();
         let took = start.elapsed();
         assert_eq!(rt.durable_log().unwrap().unsynced_records(), 0);
         assert!(
-            took < Duration::from_millis(4),
+            took < WAIT_CAP / 2,
             "an interval of 1 ms was honoured after {took:?}"
         );
         drop(ring);

@@ -78,7 +78,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ar_core::ParticipantId;
+use ar_core::{ParticipantId, SplitMix64};
 use ar_daemon::daemon::RingPressure;
 use ar_daemon::{
     ClientError, ClientEvent, DaemonClient, DaemonConnector, DaemonHandle, MemberId, ShardMap,
@@ -442,7 +442,7 @@ fn serve_shards(
         sessions: HashMap::new(),
         by_name: HashMap::new(),
         retired_stamps: 0,
-        session_seed: session_salt(),
+        session_ids: SplitMix64::new(session_salt()),
         poll: PollSet::new(),
         waker,
         wake_rx,
@@ -450,7 +450,9 @@ fn serve_shards(
         uds_slot: None,
         chunk: vec![0u8; 64 * 1024].into_boxed_slice(),
     };
-    let join = std::thread::spawn(move || server.run());
+    let join = std::thread::Builder::new()
+        .name("ar-svc".into())
+        .spawn(move || server.run())?;
     Ok(SvcHandle {
         tcp_addr,
         #[cfg(unix)]
@@ -637,8 +639,8 @@ struct Server {
     /// parked session's eviction never repeats a stamp whose copies
     /// may still be on their way to subscribers.
     retired_stamps: u64,
-    /// SplitMix64 state for session-id generation.
-    session_seed: u64,
+    /// Session-id stream.
+    session_ids: SplitMix64,
     poll: PollSet,
     /// Handed to every daemon registration; all ring threads signal
     /// the one `wake_rx`.
@@ -1090,11 +1092,7 @@ impl Server {
 
     fn fresh_session_id(&mut self) -> u64 {
         loop {
-            self.session_seed = self.session_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.session_seed;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
+            let z = self.session_ids.next_u64();
             if z != 0 && !self.sessions.contains_key(&z) {
                 return z;
             }

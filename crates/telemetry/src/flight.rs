@@ -8,10 +8,9 @@
 //! for post-mortem analysis. Recording is a mutex-guarded ring-buffer
 //! write; the buffer is allocated once up front.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ar_core::{Observer, ProtoEvent};
-use parking_lot::Mutex;
 
 /// One recorded protocol event with its injected timestamp
 /// (nanoseconds; the caller decides the clock domain).
@@ -40,7 +39,7 @@ pub struct FlightRecorder {
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ring = self.ring.lock();
+        let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         f.debug_struct("FlightRecorder")
             .field("capacity", &self.cap)
             .field("len", &ring.buf.len())
@@ -72,7 +71,7 @@ impl FlightRecorder {
 
     /// Records one event, evicting the oldest if full.
     pub fn push(&self, at: u64, ev: ProtoEvent) {
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         if ring.buf.len() < self.cap {
             ring.buf.push(FlightEvent { at, ev });
         } else {
@@ -85,17 +84,28 @@ impl FlightRecorder {
 
     /// Number of events currently retained (≤ capacity).
     pub fn len(&self) -> usize {
-        self.ring.lock().buf.len()
+        self.ring
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .buf
+            .len()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.ring.lock().buf.is_empty()
+        self.ring
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .buf
+            .is_empty()
     }
 
     /// Total events ever recorded (including evicted ones).
     pub fn total(&self) -> u64 {
-        self.ring.lock().total
+        self.ring
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .total
     }
 
     /// Maximum retained events.
@@ -105,7 +115,7 @@ impl FlightRecorder {
 
     /// The retained events, oldest first.
     pub fn dump(&self) -> Vec<FlightEvent> {
-        let ring = self.ring.lock();
+        let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         if ring.buf.len() < self.cap {
             ring.buf.clone()
         } else {
@@ -149,7 +159,7 @@ impl FlightRecorder {
 
     /// Discards all retained events (the cumulative total is kept).
     pub fn clear(&self) {
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         ring.buf.clear();
         ring.head = 0;
     }

@@ -482,4 +482,41 @@ mod tests {
         assert_eq!(h.count_at_or_below(150), 3);
         assert_eq!(h.count_at_or_below(u64::MAX / 2), 6);
     }
+
+    /// Budget per `record` call, release mode.
+    const RECORD_BUDGET_NS: f64 = 100.0;
+
+    /// `record` sits on every instrumented hot path, so a regression
+    /// past the budget fails the build rather than just printing a
+    /// slower number. CI runs it as
+    /// `cargo test --release -p ar-telemetry --lib record_budget`.
+    #[test]
+    fn record_budget() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Debug builds miss the budget by an order of magnitude and that is
+        // fine; the bar applies to optimized code only.
+        if cfg!(debug_assertions) {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(7);
+        let values: Vec<u64> = (0..1_000_000)
+            .map(|_| rng.gen_range(1..100_000_000))
+            .collect();
+        let mut h = LogLinearHistogram::new();
+        let start = std::time::Instant::now();
+        for &v in &values {
+            h.record(v);
+        }
+        let per_record = start.elapsed().as_secs_f64() * 1e9 / values.len() as f64;
+        assert_eq!(h.count(), values.len() as u64);
+        assert!(
+            per_record <= RECORD_BUDGET_NS,
+            "LogLinearHistogram::record took {per_record:.1} ns, budget {RECORD_BUDGET_NS} ns"
+        );
+        println!(
+            "record budget check: {per_record:.1} ns per record (budget {RECORD_BUDGET_NS} ns)"
+        );
+    }
 }

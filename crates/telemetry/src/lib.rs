@@ -18,7 +18,7 @@
 //!   snapshots and `BENCH_*.json` result files.
 //!
 //! The crate deliberately depends only on `ar-core` (for the event
-//! types) and `parking_lot`, and performs no I/O of its own: exposition
+//! types), and performs no I/O of its own: exposition
 //! returns `String`s for the caller to serve or write. Timestamps are
 //! injected by the caller everywhere (see
 //! [`Participant::observe_now`](ar_core::Participant::observe_now)),

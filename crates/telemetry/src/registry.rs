@@ -10,9 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::hist::AtomicHistogram;
 use crate::json::JsonWriter;
@@ -131,7 +129,7 @@ fn series_key(name: &str, labels: &str) -> String {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let m = self.metrics.lock();
+        let m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         f.debug_struct("MetricsRegistry")
             .field("metrics", &m.keys().collect::<Vec<_>>())
             .finish()
@@ -159,7 +157,7 @@ impl MetricsRegistry {
     /// # Panics
     /// If the series is already registered as a different metric kind.
     pub fn counter_labeled(&self, name: &str, labels: &str, help: &str) -> Counter {
-        let mut m = self.metrics.lock();
+        let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let key = series_key(name, labels);
         match &m
             .entry(key)
@@ -192,7 +190,7 @@ impl MetricsRegistry {
     /// # Panics
     /// If the series is already registered as a different metric kind.
     pub fn gauge_labeled(&self, name: &str, labels: &str, help: &str) -> Gauge {
-        let mut m = self.metrics.lock();
+        let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let key = series_key(name, labels);
         match &m
             .entry(key)
@@ -227,7 +225,7 @@ impl MetricsRegistry {
     /// # Panics
     /// If the series is already registered as a different metric kind.
     pub fn histogram_labeled(&self, name: &str, labels: &str, help: &str) -> Histogram {
-        let mut m = self.metrics.lock();
+        let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let key = series_key(name, labels);
         match &m
             .entry(key)
@@ -251,7 +249,7 @@ impl MetricsRegistry {
     /// with `quantile` labels plus `_count` and `_sum` series.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write;
-        let m = self.metrics.lock();
+        let m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
         let mut last_family = String::new();
         for (key, entry) in m.iter() {
@@ -306,7 +304,7 @@ impl MetricsRegistry {
     /// Counters and gauges are numbers; histograms are objects with
     /// `count`, `sum`, `min`, `max`, `mean`, and `p50/p90/p99/p999`.
     pub fn render_json(&self) -> String {
-        let m = self.metrics.lock();
+        let m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let mut w = JsonWriter::new();
         w.begin_object();
         for (key, entry) in m.iter() {

@@ -17,7 +17,7 @@
 //! The EVS delivery checker runs inside the world throughout, so every
 //! case also asserts the episode stayed free of delivery violations.
 
-use accelerated_ring::core::{Mode, ParticipantId, RingId, TimerKind};
+use accelerated_ring::core::{Mode, ParticipantId, RingId, SplitMix64, TimerKind};
 use accelerated_ring::net::replay::{Step, World};
 use proptest::prelude::*;
 
@@ -32,21 +32,13 @@ const DRY_PREFERENCE: [TimerKind; 4] = [
     TimerKind::Join,
 ];
 
-/// Tiny splitmix-style generator so each proptest case replays the
-/// same interleaving for its seed.
-struct Sched(u64);
+/// Seeded scheduler so each proptest case replays the same
+/// interleaving for its seed.
+struct Sched(SplitMix64);
 
 impl Sched {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
     fn pick(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        self.0.below(n as u64) as usize
     }
 }
 
@@ -241,7 +233,7 @@ proptest! {
         seed in any::<u64>(),
         warm in 0usize..16,
     ) {
-        let mut sched = Sched(seed);
+        let mut sched = Sched(SplitMix64::new(seed));
         let mut w = World::new(hosts, "accelerated", &[]).unwrap();
         warmup(&mut w, &mut sched, warm);
         let all: Vec<u16> = (0..hosts).collect();
@@ -275,7 +267,7 @@ proptest! {
         seed in any::<u64>(),
         warm in 0usize..16,
     ) {
-        let mut sched = Sched(seed);
+        let mut sched = Sched(SplitMix64::new(seed));
         let mut w = World::new(hosts, "accelerated", &[]).unwrap();
         warmup(&mut w, &mut sched, warm);
         let all: Vec<u16> = (0..hosts).collect();
