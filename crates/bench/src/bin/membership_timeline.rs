@@ -4,10 +4,11 @@
 //! survivors detect the loss and re-form the ring, and the recovery.
 
 use ar_bench::table::{write_csv, Table};
-use ar_core::{ProtocolConfig, ServiceType, TimeoutConfig};
+use std::time::Duration;
+
+use ar_core::{FaultSchedule, ProtocolConfig, ServiceType, TimeoutConfig};
 use ar_sim::{
-    find_disruption, FaultPlan, ImplProfile, LoadMode, NetworkConfig, RingSim, RingSimConfig,
-    SimDuration, SimTime,
+    find_disruption, ImplProfile, LoadMode, NetworkConfig, RingSim, RingSimConfig, SimDuration,
 };
 
 fn main() {
@@ -26,7 +27,7 @@ fn main() {
         duration: SimDuration::from_millis(400),
         warmup: SimDuration::ZERO,
         seed: 42,
-        faults: FaultPlan::none().crash(SimTime::ZERO + crash_at, 7),
+        faults: FaultSchedule::none().crash(Duration::from_nanos(crash_at.as_nanos()), 7),
         verify_order: true,
     };
     println!(

@@ -13,10 +13,8 @@
 //! ```
 
 use ar_bench::table::{write_csv, Table};
-use ar_core::{ProtocolConfig, ServiceType, TimeoutConfig};
-use ar_sim::{
-    run_ring, FaultPlan, ImplProfile, LoadMode, NetworkConfig, RingSimConfig, SimDuration,
-};
+use ar_core::{FaultSchedule, ProtocolConfig, ServiceType, TimeoutConfig};
+use ar_sim::{run_ring, ImplProfile, LoadMode, NetworkConfig, RingSimConfig, SimDuration};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -57,7 +55,7 @@ fn main() {
             duration: SimDuration::from_millis(200),
             warmup: SimDuration::from_millis(80),
             seed: 42,
-            faults: FaultPlan::none(),
+            faults: FaultSchedule::none(),
             verify_order: false,
         };
         run_ring(&cfg)

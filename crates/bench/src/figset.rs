@@ -1,6 +1,6 @@
 //! Scenario construction shared by all figure harnesses.
 
-use ar_core::{ProtocolConfig, ProtocolVariant, ServiceType, TimeoutConfig};
+use ar_core::{FaultSchedule, ProtocolConfig, ProtocolVariant, ServiceType, TimeoutConfig};
 use ar_sim::{ImplProfile, LoadMode, NetworkConfig, RingSimConfig, SimDuration};
 
 /// Which network a scenario runs on.
@@ -96,7 +96,7 @@ pub fn scenario(
         duration: SimDuration::from_millis(300),
         warmup: SimDuration::from_millis(120),
         seed: 42,
-        faults: ar_sim::FaultPlan::none(),
+        faults: FaultSchedule::none(),
         verify_order: false,
     };
     Scenario {

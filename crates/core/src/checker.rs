@@ -5,9 +5,10 @@
 //! configuration changes, submissions, and tokens on the wire — and
 //! accumulate violations instead of panicking, so a harness can drive a
 //! whole chaotic run to completion and then report every broken
-//! invariant at once. They are used by the nemesis runner in `ar-net`,
-//! by the lossy-network property tests, and are usable against the
-//! simulator's outputs as well.
+//! invariant at once. `ar-net`'s deterministic `World` feeds them on
+//! behalf of every scheduler that drives it (the explorer, the nemesis
+//! runner, the lossy-network property tests); they are usable against
+//! the simulator's outputs as well.
 
 use std::collections::HashMap;
 
@@ -125,11 +126,13 @@ impl EvsChecker {
     }
 
     /// Records that process `i` restarted as a fresh incarnation: its
-    /// installed-view history is reset (EVS treats a recovered process
-    /// as a new process), while its delivery logs are kept for the
-    /// cross-process safety checks.
+    /// installed-view history is reset and its submissions die with the
+    /// old incarnation (EVS treats a recovered process as a new
+    /// process), while its delivery logs are kept for the cross-process
+    /// safety checks.
     pub fn on_restart(&mut self, i: usize) {
         let st = &mut self.per_proc[i];
+        st.submitted.clear();
         st.installed = None;
         st.last_kind = None;
         st.last_regular = None;

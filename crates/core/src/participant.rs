@@ -85,6 +85,17 @@ impl Default for TimeoutConfig {
 }
 
 impl TimeoutConfig {
+    /// How long timer `kind` runs once armed, in nanoseconds.
+    pub fn duration(&self, kind: TimerKind) -> u64 {
+        match kind {
+            TimerKind::TokenLoss => self.token_loss,
+            TimerKind::TokenRetransmit => self.token_retransmit,
+            TimerKind::Join => self.join,
+            TimerKind::ConsensusTimeout => self.consensus,
+            TimerKind::CommitTimeout => self.commit,
+        }
+    }
+
     /// Checks the timeout table for internal consistency.
     ///
     /// # Errors

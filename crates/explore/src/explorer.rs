@@ -555,13 +555,7 @@ where
     let mut stats = MinimizeStats::default();
     let mut best = schedule.clone();
     let fresh = || -> Option<(World, ModelChecker)> {
-        let world = World::new_with_joiners(
-            schedule.hosts,
-            &schedule.joiners,
-            &schedule.config,
-            &schedule.submissions,
-        )
-        .ok()?;
+        let world = World::from_schedule(schedule).ok()?;
         let mut model = ModelChecker::new(&world);
         model.observe(&world);
         Some((world, model))

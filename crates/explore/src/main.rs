@@ -287,13 +287,8 @@ fn cmd_enabled(files: &[String]) -> ExitCode {
     let run = || -> Result<(), String> {
         let text = std::fs::read_to_string(file).map_err(|e| e.to_string())?;
         let schedule = Schedule::from_json(&text).map_err(|e| e.to_string())?;
-        let mut world = ar_net::replay::World::new_with_joiners(
-            schedule.hosts,
-            &schedule.joiners,
-            &schedule.config,
-            &schedule.submissions,
-        )
-        .map_err(|e| e.to_string())?;
+        let mut world =
+            ar_net::replay::World::from_schedule(&schedule).map_err(|e| e.to_string())?;
         for (i, step) in schedule.steps.iter().enumerate() {
             world
                 .apply_step(step)

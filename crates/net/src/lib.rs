@@ -15,6 +15,15 @@
 //!   the protocol's current priority preference, handle, execute
 //!   actions, fire timers, and park an idle token ([`hold`]).
 //!
+//! It also holds the one fake-time environment: [`World`]
+//! ([`replay`]), a deterministic ring whose in-flight messages and
+//! armed timers are explicit, and which alone turns a participant's
+//! actions into messages, timers and oracle input. Schedulers choose
+//! its steps: the explorer (`ar-explore`) by exhaustive search,
+//! [`replay_schedule`] from a recorded schedule, and [`NemesisRunner`]
+//! ([`nemesis`]) from a virtual clock, a seeded lossy network and a
+//! fault plan.
+//!
 //! ## Example: a ring of three on in-process transports, one thread
 //!
 //! ```

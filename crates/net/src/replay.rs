@@ -1,28 +1,35 @@
-//! Deterministic schedule replay: the counterexample format the
-//! state-space explorer emits and the nemesis tooling consumes.
+//! The one deterministic [`World`] every fake-time harness runs on,
+//! and the schedule format that replays it.
 //!
-//! The explorer (`ar-explore`) enumerates interleavings of message
-//! deliveries, losses, duplications, and timer firings over a small
-//! ring of sans-io [`Participant`]s. When a path violates an oracle it
-//! is written out as a **schedule**: the world's initial conditions
-//! plus the exact step sequence that reached the violation. This
-//! module owns that format and the [`World`] that executes it, so a
-//! schedule replays bit-identically here — in the nemesis replay path —
-//! without the explorer crate in the loop, and checked-in regression
-//! schedules (`tests/corpus/`) keep reproducing across refactors.
+//! A world is a ring of sans-io [`Participant`]s with explicit
+//! in-flight messages and an armed-timer matrix. It is the only code
+//! that turns a participant's [`Action`]s into messages, timers and
+//! oracle input ([`EvsChecker`], [`TokenRuleMonitor`],
+//! [`SendSplitChecker`]), and it makes no choice of its own: which
+//! message arrives, is lost or duplicated, and which timer fires are
+//! [`Step`]s a scheduler picks. Three schedulers drive it:
+//!
+//! * the explorer (`ar-explore`) enumerates every step by DFS, cloning
+//!   the world to fork it. A path that violates an oracle is written
+//!   out as a **schedule** (initial conditions plus the step sequence),
+//!   and [`replay_schedule`] re-executes it bit-identically without the
+//!   explorer in the loop, so the checked-in `tests/corpus/` keeps
+//!   reproducing across refactors;
+//! * [`crate::nemesis::NemesisRunner`] picks steps from a virtual clock
+//!   and a seeded lossy network, and learns of sends and timer arms
+//!   through [`Hooks`];
+//! * the lossy property tests (`tests/total_order_props.rs`) deliver
+//!   oldest-first and fire timers when the network falls silent.
 //!
 //! Determinism contract (what makes a schedule replayable):
 //!
 //! * message identifiers are assigned sequentially in the order the
-//!   environment observes sends, with multicast fan-out enumerated in
+//!   world observes sends, with multicast fan-out enumerated in
 //!   ascending host order;
 //! * the action lists a participant emits are ingested in list order;
 //! * timers are a per-host armed/disarmed matrix (virtual deadlines
-//!   are irrelevant — the explorer treats "the timer fires now" as one
-//!   of the adversary's moves whenever the timer is armed).
-//!
-//! The same oracles the nemesis runner uses watch every step:
-//! [`EvsChecker`], [`TokenRuleMonitor`], and [`SendSplitChecker`].
+//!   belong to a scheduler: the explorer treats "the timer fires now"
+//!   as one of the adversary's moves whenever the timer is armed).
 
 use std::collections::BTreeMap;
 
@@ -30,13 +37,13 @@ use ar_core::checker::{EvsChecker, SendSplitChecker, TokenRuleMonitor};
 use ar_core::statehash::{StateHash, StateHasher};
 use ar_core::wire;
 use ar_core::{
-    Action, Message, Participant, ParticipantId, ProtocolConfig, RingId, ServiceType, TimerKind,
+    Action, ConfigChange, Delivery, Message, Participant, ParticipantId, ProtocolConfig, QueueFull,
+    RingId, ServiceType, TimeoutConfig, TimerKind,
 };
 use ar_telemetry::json::{JsonWriter, Value};
 use bytes::Bytes;
 
-/// Timer kinds in their canonical schedule order (also the order the
-/// nemesis harness uses).
+/// Timer kinds in their canonical schedule order.
 pub const TIMER_KINDS: [TimerKind; 5] = [
     TimerKind::TokenLoss,
     TimerKind::TokenRetransmit,
@@ -45,7 +52,7 @@ pub const TIMER_KINDS: [TimerKind; 5] = [
     TimerKind::CommitTimeout,
 ];
 
-fn kind_idx(kind: TimerKind) -> usize {
+pub(crate) fn kind_idx(kind: TimerKind) -> usize {
     TIMER_KINDS
         .iter()
         .position(|&k| k == kind)
@@ -579,15 +586,49 @@ pub struct Inflight {
     pub dup_left: u8,
 }
 
+/// What a scheduler hears of the world's effects while a step runs,
+/// in the order the participant's actions list them (so times, ids and
+/// random draws assigned here stay deterministic). Every method
+/// defaults to nothing; `()` is the explorer's hooks.
+pub trait Hooks {
+    /// A copy is about to go in flight. Returning `false` loses it on
+    /// the wire: it never enters [`World::inflight`].
+    fn send(&mut self, _msg: &Inflight) -> bool {
+        true
+    }
+    /// A copy from `from` to `to` was cut before the wire: the
+    /// destination has failed, has not joined, or sits across the
+    /// partition.
+    fn cut(&mut self, _from: u16, _to: u16) {}
+    /// `host` armed (or re-armed) timer `kind`; `timeouts` is the
+    /// host's timeout table at that moment.
+    fn timer_set(&mut self, _host: u16, _kind: TimerKind, _timeouts: &TimeoutConfig) {}
+    /// `host` delivered `d` (the oracles have seen it): a scheduler
+    /// surfaces it, or holds a Safe delivery until it is durable.
+    fn delivered(&mut self, _host: u16, _d: Delivery) {}
+    /// `host` installed configuration `c` (the oracles have seen it).
+    fn config(&mut self, _host: u16, _c: ConfigChange) {}
+}
+
+impl Hooks for () {}
+
+/// Each oracle's violations, empty when green.
+#[derive(Debug, Clone, Default)]
+pub struct OracleReport {
+    /// [`EvsChecker`] violations.
+    pub evs: Vec<String>,
+    /// [`TokenRuleMonitor`] violations.
+    pub token: Vec<String>,
+    /// [`SendSplitChecker`] violations.
+    pub split: Vec<String>,
+}
+
 /// A deterministic, cloneable mini-universe of `n` participants with
 /// explicit in-flight messages and an armed-timer matrix, watched by
-/// the nemesis oracles.
+/// the oracles (see the module docs).
 ///
-/// Unlike [`crate::nemesis::NemesisRunner`], the world has no clock and
-/// no randomness: *every* nondeterministic choice (which message
-/// arrives next, what gets lost or duplicated, when timers fire) is an
-/// explicit [`Step`] chosen by the caller — the explorer's DFS or a
-/// [`Schedule`] being replayed. Cloning the world forks the universe,
+/// It has no clock and no randomness: every nondeterministic choice is
+/// a [`Step`] a scheduler picks. Cloning the world forks the universe,
 /// which is what makes depth-first exploration cheap.
 #[derive(Debug, Clone)]
 pub struct World {
@@ -609,7 +650,7 @@ pub struct World {
     /// of the state fingerprint: two otherwise-identical worlds with
     /// different remaining budgets have different futures.
     fault_budget: u8,
-    checker: EvsChecker,
+    pub(crate) checker: EvsChecker,
     monitor: TokenRuleMonitor,
     split: SendSplitChecker,
     deliveries: Vec<u64>,
@@ -663,17 +704,61 @@ impl World {
             }
             joiner[j as usize] = true;
         }
-        let members: Vec<ParticipantId> = (0..hosts)
-            .filter(|&h| !joiner[h as usize])
-            .map(ParticipantId::new)
-            .collect();
-        if members.is_empty() {
+        if joiner.iter().all(|&j| j) {
             return Err(ScheduleError::BadJoiners(
                 "every host is a joiner; the initial ring would be empty".into(),
             ));
         }
+        let mut world = World::build(joiner, cfg);
+        for s in submissions {
+            if s.host >= hosts {
+                return Err(ScheduleError::HostOutOfRange(s.host));
+            }
+            world
+                .submit(
+                    s.host,
+                    Bytes::from(s.payload.clone().into_bytes()),
+                    s.service,
+                )
+                .expect("exploration workloads fit the send queue");
+        }
+        world.start_with(&mut ());
+        Ok(world)
+    }
+
+    /// The world `schedule` starts from: its hosts, joiners, config and
+    /// submissions, before any of its steps.
+    ///
+    /// # Errors
+    ///
+    /// As [`World::new_with_joiners`].
+    pub fn from_schedule(schedule: &Schedule) -> Result<World, ScheduleError> {
+        let s = schedule;
+        World::new_with_joiners(s.hosts, &s.joiners, &s.config, &s.submissions)
+    }
+
+    /// `hosts` participants on one established ring under `cfg`, not yet
+    /// started: submit with [`World::submit`], then call
+    /// [`World::start_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is invalid or `hosts` is zero.
+    pub fn ring(hosts: u16, cfg: ProtocolConfig) -> World {
+        World::build(vec![false; hosts as usize], cfg)
+    }
+
+    /// One participant per entry of `joiner`, not yet started: the
+    /// unflagged hosts on one established ring, the flagged ones idle
+    /// singletons.
+    fn build(joiner: Vec<bool>, cfg: ProtocolConfig) -> World {
+        let n = joiner.len();
+        let members: Vec<ParticipantId> = (0..n as u16)
+            .filter(|&h| !joiner[h as usize])
+            .map(ParticipantId::new)
+            .collect();
         let ring_id = RingId::new(members[0], 1);
-        let parts: Vec<Participant> = (0..hosts)
+        let parts: Vec<Participant> = (0..n as u16)
             .map(|h| {
                 let p = ParticipantId::new(h);
                 if joiner[h as usize] {
@@ -683,52 +768,101 @@ impl World {
                 }
             })
             .collect();
-        let mut world = World {
-            n: hosts,
-            parts,
-            inflight: Vec::new(),
-            next_msg_id: 0,
-            armed: vec![[false; 5]; hosts as usize],
-            joiner,
-            joined: vec![false; hosts as usize],
-            failed: vec![false; hosts as usize],
-            component: vec![0; hosts as usize],
-            fault_budget: u8::MAX,
-            checker: EvsChecker::new(hosts as usize),
-            monitor: TokenRuleMonitor::new(),
-            split: SendSplitChecker::new(Some(cfg.accelerated_window)),
-            deliveries: vec![0; hosts as usize],
-            steps_applied: 0,
-            dropped: 0,
-            duplicated: 0,
-        };
+        let mut checker = EvsChecker::new(n);
         // Seed the checker with each host's bootstrap view so same-view
         // and transitional-subset checks are live from the first
         // membership episode (bootstrapped rings never deliver their
         // initial configuration).
-        for i in 0..hosts as usize {
-            let ring = world.parts[i].ring();
-            let (id, members) = (ring.id(), ring.members().to_vec());
-            world.checker.on_initial_config(i, id, &members);
+        for (i, p) in parts.iter().enumerate() {
+            checker.on_initial_config(i, p.ring().id(), p.ring().members());
         }
-        for s in submissions {
-            if s.host >= hosts {
-                return Err(ScheduleError::HostOutOfRange(s.host));
+        World {
+            n: n as u16,
+            parts,
+            inflight: Vec::new(),
+            next_msg_id: 0,
+            armed: vec![[false; 5]; n],
+            joiner,
+            joined: vec![false; n],
+            failed: vec![false; n],
+            component: vec![0; n],
+            fault_budget: u8::MAX,
+            checker,
+            monitor: TokenRuleMonitor::new(),
+            split: SendSplitChecker::new(Some(cfg.accelerated_window)),
+            deliveries: vec![0; n],
+            steps_applied: 0,
+            dropped: 0,
+            duplicated: 0,
+        }
+    }
+
+    /// Submits `payload` at `host` (the oracles track it for the
+    /// self-delivery check).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueueFull`] when the host's send queue is full.
+    pub fn submit(
+        &mut self,
+        host: u16,
+        payload: Bytes,
+        service: ServiceType,
+    ) -> Result<(), QueueFull> {
+        let h = host as usize;
+        self.checker.on_submit(h, &payload);
+        self.parts[h].submit(payload, service)
+    }
+
+    /// Starts every host on the initial ring (the representative's
+    /// start injects the first token). Joiners wait for their
+    /// [`Step::Join`]. Call once.
+    pub fn start_with<H: Hooks>(&mut self, hooks: &mut H) {
+        for i in 0..self.n as usize {
+            if !self.joiner[i] {
+                let actions = self.parts[i].start();
+                self.ingest(i, actions, hooks);
             }
-            let i = s.host as usize;
-            world.checker.on_submit(i, s.payload.as_bytes());
-            world.parts[i]
-                .submit(Bytes::from(s.payload.clone().into_bytes()), s.service)
-                .expect("exploration workloads fit the send queue");
         }
-        for i in 0..hosts as usize {
-            if world.joiner[i] {
-                continue;
-            }
-            let actions = world.parts[i].start();
-            world.ingest(i, actions);
-        }
-        Ok(world)
+    }
+
+    /// Restarts `host` as `fresh`, a new incarnation with empty protocol
+    /// state that must rejoin through membership: the host is alive
+    /// again, its timers start disarmed, the oracles forget its old
+    /// incarnation's submissions, and `fresh` is started.
+    pub fn restart_with<H: Hooks>(&mut self, host: u16, fresh: Participant, hooks: &mut H) {
+        let h = host as usize;
+        self.parts[h] = fresh;
+        self.failed[h] = false;
+        self.armed[h] = [false; 5];
+        self.checker.on_restart(h);
+        let actions = self.parts[h].start();
+        self.ingest(h, actions, hooks);
+    }
+
+    /// Puts every host in the component `component_of` names (equal ids
+    /// reach each other). Unlike [`Step::Partition`], messages already
+    /// in flight are left alone, as packets on a real wire are: the cut
+    /// applies to sends from here on. All-equal ids heal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `component_of` does not name every host.
+    pub fn set_components(&mut self, component_of: &[u8]) {
+        assert_eq!(
+            component_of.len(),
+            self.component.len(),
+            "component vector must cover every host"
+        );
+        self.component.copy_from_slice(component_of);
+    }
+
+    /// Host `i`'s participant, for inputs that emit no actions: the
+    /// observer clock ([`Participant::observe_now`]) and the timeout
+    /// table ([`Participant::adapt_timeouts`]). Anything that returns
+    /// actions must go through the world.
+    pub fn participant_mut(&mut self, i: u16) -> &mut Participant {
+        &mut self.parts[i as usize]
     }
 
     /// Caps the number of `Fail`/`Partition` steps the adversary may
@@ -865,13 +999,27 @@ impl World {
     /// state (unknown message, spent duplication budget, unarmed
     /// timer).
     pub fn apply_step(&mut self, step: &Step) -> Result<(), ScheduleError> {
+        self.apply_step_with(step, &mut ())
+    }
+
+    /// [`World::apply_step`], telling `hooks` what the step's actions
+    /// did.
+    ///
+    /// # Errors
+    ///
+    /// As [`World::apply_step`].
+    pub fn apply_step_with<H: Hooks>(
+        &mut self,
+        step: &Step,
+        hooks: &mut H,
+    ) -> Result<(), ScheduleError> {
         match step {
             Step::Deliver { msg } => {
                 let idx = self.find_msg(*msg)?;
                 let m = self.inflight.remove(idx);
                 let to = m.to as usize;
                 let actions = self.parts[to].handle_message(m.msg);
-                self.ingest(to, actions);
+                self.ingest(to, actions, hooks);
             }
             Step::Duplicate { msg } => {
                 let idx = self.find_msg(*msg)?;
@@ -883,7 +1031,7 @@ impl World {
                 let to = self.inflight[idx].to as usize;
                 self.duplicated += 1;
                 let actions = self.parts[to].handle_message(copy);
-                self.ingest(to, actions);
+                self.ingest(to, actions, hooks);
             }
             Step::Drop { msg } => {
                 let idx = self.find_msg(*msg)?;
@@ -904,7 +1052,7 @@ impl World {
                 }
                 self.armed[h][k] = false;
                 let actions = self.parts[h].handle_timer(*kind);
-                self.ingest(h, actions);
+                self.ingest(h, actions, hooks);
             }
             Step::Join { host } => {
                 if *host >= self.n {
@@ -916,7 +1064,7 @@ impl World {
                 }
                 self.joined[h] = true;
                 let actions = self.parts[h].initiate_gather();
-                self.ingest(h, actions);
+                self.ingest(h, actions, hooks);
             }
             Step::Fail { host } => {
                 if *host >= self.n {
@@ -985,56 +1133,62 @@ impl World {
             && (!self.joiner[t] || self.joined[t])
     }
 
-    fn push_msg(&mut self, from: usize, to: u16, msg: Message) {
+    fn push_msg<H: Hooks>(&mut self, from: usize, to: u16, msg: Message, hooks: &mut H) {
         if !self.reachable(from, to) {
+            hooks.cut(from as u16, to);
             return;
         }
-        let id = self.next_msg_id;
-        self.next_msg_id += 1;
-        self.inflight.push(Inflight {
-            id,
+        let m = Inflight {
+            id: self.next_msg_id,
             from: from as u16,
             to,
             msg,
             dup_left: 1,
-        });
+        };
+        if hooks.send(&m) {
+            self.next_msg_id += 1;
+            self.inflight.push(m);
+        }
     }
 
-    fn ingest(&mut self, from: usize, actions: Vec<Action>) {
+    fn ingest<H: Hooks>(&mut self, from: usize, actions: Vec<Action>, hooks: &mut H) {
         self.split
             .on_actions(ParticipantId::new(from as u16), &actions);
         for action in actions {
             match action {
                 Action::SendToken { to, token } => {
                     self.monitor.on_token(&token);
-                    self.push_msg(from, to.as_u16(), Message::Token(token));
+                    self.push_msg(from, to.as_u16(), Message::Token(token), hooks);
                 }
                 Action::SendCommit { to, token } => {
-                    self.push_msg(from, to.as_u16(), Message::Commit(token));
+                    self.push_msg(from, to.as_u16(), Message::Commit(token), hooks);
                 }
                 Action::Multicast(m) => {
                     for to in 0..self.n {
                         if to as usize != from {
-                            self.push_msg(from, to, Message::Data(m.clone()));
+                            self.push_msg(from, to, Message::Data(m.clone()), hooks);
                         }
                     }
                 }
                 Action::MulticastJoin(j) => {
                     for to in 0..self.n {
                         if to as usize != from {
-                            self.push_msg(from, to, Message::Join(j.clone()));
+                            self.push_msg(from, to, Message::Join(j.clone()), hooks);
                         }
                     }
                 }
                 Action::Deliver(d) => {
                     self.checker.on_delivery(from, &d);
                     self.deliveries[from] += 1;
+                    hooks.delivered(from as u16, d);
                 }
                 Action::DeliverConfigChange(c) => {
                     self.checker.on_config(from, &c);
+                    hooks.config(from as u16, c);
                 }
                 Action::SetTimer(kind) => {
                     self.armed[from][kind_idx(kind)] = true;
+                    hooks.timer_set(from as u16, kind, self.parts[from].timeouts());
                 }
                 Action::CancelTimer(kind) => {
                     self.armed[from][kind_idx(kind)] = false;
@@ -1093,28 +1247,27 @@ impl World {
     /// all violations (empty when green). Non-destructive: the oracles
     /// keep accumulating afterwards.
     pub fn violations(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut checker = self.checker.clone();
-        match checker.check() {
-            Ok(()) => {}
-            Err(v) => out.extend(v),
+        let r = self.oracle_report();
+        [r.evs, r.token, r.split].concat()
+    }
+
+    /// [`World::violations`], per oracle.
+    pub fn oracle_report(&self) -> OracleReport {
+        OracleReport {
+            evs: self.checker.clone().check().err().unwrap_or_default(),
+            token: self.monitor.clone().check().err().unwrap_or_default(),
+            split: self.split.clone().check().err().unwrap_or_default(),
         }
-        let mut monitor = self.monitor.clone();
-        match monitor.check() {
-            Ok(()) => {}
-            Err(v) => out.extend(v),
-        }
-        let mut split = self.split.clone();
-        match split.check() {
-            Ok(()) => {}
-            Err(v) => out.extend(v),
-        }
-        out
     }
 
     /// Loss/duplication counters `(dropped, duplicated)`.
     pub fn chaos_counters(&self) -> (u64, u64) {
         (self.dropped, self.duplicated)
+    }
+
+    /// Tokens the participants have put on the wire (before loss).
+    pub fn tokens_seen(&self) -> u64 {
+        self.monitor.tokens_seen()
     }
 }
 
@@ -1151,12 +1304,7 @@ impl ReplayOutcome {
 /// step is not applicable in the state it is reached in (which means
 /// the schedule does not match the code under test anymore).
 pub fn replay_schedule(schedule: &Schedule) -> Result<ReplayOutcome, ScheduleError> {
-    let mut world = World::new_with_joiners(
-        schedule.hosts,
-        &schedule.joiners,
-        &schedule.config,
-        &schedule.submissions,
-    )?;
+    let mut world = World::from_schedule(schedule)?;
     for step in &schedule.steps {
         world.apply_step(step)?;
     }

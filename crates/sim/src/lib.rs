@@ -19,7 +19,8 @@
 //!   ([`ImplProfile`]: library / daemon / Spread);
 //! * open-loop and saturating load generators ([`LoadMode`]), latency
 //!   and goodput measurement ([`SimReport`]), and fault injection
-//!   ([`FaultPlan`]).
+//!   (`RingSimConfig::faults`, an [`ar_core::FaultSchedule`] shared with
+//!   the nemesis harness).
 //!
 //! ## Example: one point of Figure 1
 //!
@@ -39,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod events;
-pub mod fault;
 pub mod load;
 pub mod metrics;
 pub mod netcfg;
@@ -49,7 +49,6 @@ pub mod seqsim;
 pub mod time;
 pub mod timeseries;
 
-pub use fault::{Connectivity, FaultEvent, FaultPlan};
 pub use load::LoadMode;
 pub use metrics::{LatencyRecorder, LatencySummary, SimReport};
 pub use netcfg::NetworkConfig;

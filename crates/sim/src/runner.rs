@@ -16,15 +16,14 @@
 use std::collections::VecDeque;
 
 use ar_core::{
-    Action, Message, Participant, ParticipantId, ProtocolConfig, RingId, ServiceType,
-    TimeoutConfig, TimerKind,
+    Action, Connectivity, FaultEvent, FaultSchedule, Message, Participant, ParticipantId,
+    ProtocolConfig, RingId, ServiceType, TimeoutConfig, TimerKind,
 };
 use bytes::{BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::events::EventQueue;
-use crate::fault::{Connectivity, FaultEvent, FaultPlan};
 use crate::load::LoadMode;
 use crate::metrics::{LatencyRecorder, SimReport};
 use crate::netcfg::NetworkConfig;
@@ -70,7 +69,7 @@ pub struct RingSimConfig {
     pub seed: u64,
     /// Scheduled crashes/partitions (empty for the performance
     /// figures).
-    pub faults: FaultPlan,
+    pub faults: FaultSchedule,
     /// Record every delivery's (seq, uid) per host and verify
     /// total-order agreement at the end of the run (test runs only —
     /// costs memory proportional to deliveries).
@@ -96,7 +95,7 @@ impl RingSimConfig {
             duration: SimDuration::from_millis(400),
             warmup: SimDuration::from_millis(150),
             seed: 42,
-            faults: FaultPlan::none(),
+            faults: FaultSchedule::none(),
             verify_order: false,
         }
     }
@@ -270,7 +269,7 @@ impl RingSim {
         }
         // Schedule faults.
         for (i, (at, _)) in cfg.faults.events().iter().enumerate() {
-            q.schedule(*at, Ev::Fault(i));
+            q.schedule(SimTime::from_nanos(at.as_nanos() as u64), Ev::Fault(i));
         }
 
         let measure_start = SimTime::ZERO + cfg.warmup;
@@ -658,14 +657,7 @@ impl RingSim {
     }
 
     fn timer_duration(&self, kind: TimerKind) -> SimDuration {
-        let t = &self.cfg.timeouts;
-        SimDuration::from_nanos(match kind {
-            TimerKind::TokenLoss => t.token_loss,
-            TimerKind::TokenRetransmit => t.token_retransmit,
-            TimerKind::Join => t.join,
-            TimerKind::ConsensusTimeout => t.consensus,
-            TimerKind::CommitTimeout => t.commit,
-        })
+        SimDuration::from_nanos(self.cfg.timeouts.duration(kind))
     }
 
     fn timer_fired(&mut self, t: SimTime, host: usize, kind: TimerKind, gen: u64) {
@@ -759,6 +751,8 @@ impl RingSim {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     fn quick_cfg() -> RingSimConfig {
@@ -947,7 +941,7 @@ mod tests {
         };
         cfg.duration = SimDuration::from_millis(250);
         cfg.warmup = SimDuration::from_millis(10);
-        cfg.faults = FaultPlan::none().crash(SimTime::ZERO + SimDuration::from_millis(50), 3);
+        cfg.faults = FaultSchedule::none().crash(Duration::from_millis(50), 3);
         let _ = run_ring(&cfg);
     }
 
@@ -960,7 +954,7 @@ mod tests {
         };
         cfg.duration = SimDuration::from_millis(300);
         cfg.warmup = SimDuration::from_millis(10);
-        cfg.faults = FaultPlan::none().crash(SimTime::ZERO + SimDuration::from_millis(60), 3);
+        cfg.faults = FaultSchedule::none().crash(Duration::from_millis(60), 3);
         let sim = RingSim::new(cfg.clone());
         let report = sim.run();
         // Deliveries continue after the membership change; the ring of

@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --release --example datacenter_sim`
 
-use accelerated_ring::core::{ProtocolConfig, ServiceType, TimeoutConfig};
+use accelerated_ring::core::{FaultSchedule, ProtocolConfig, ServiceType, TimeoutConfig};
 use accelerated_ring::sim::{
-    run_ring, FaultPlan, ImplProfile, LoadMode, NetworkConfig, RingSimConfig, SimDuration,
+    run_ring, ImplProfile, LoadMode, NetworkConfig, RingSimConfig, SimDuration,
 };
 
 fn base(protocol: ProtocolConfig, load: LoadMode) -> RingSimConfig {
@@ -24,7 +24,7 @@ fn base(protocol: ProtocolConfig, load: LoadMode) -> RingSimConfig {
         duration: SimDuration::from_millis(300),
         warmup: SimDuration::from_millis(120),
         seed: 42,
-        faults: FaultPlan::none(),
+        faults: FaultSchedule::none(),
         verify_order: false,
     }
 }

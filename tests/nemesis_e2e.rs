@@ -17,7 +17,6 @@ use accelerated_ring::net::{
     nemesis::apply_connectivity, ChaosConfig, ChaosControl, ChaosTransport, LoopbackNet,
     NemesisPlan, NemesisRunner,
 };
-use accelerated_ring::sim::{FaultPlan, SimTime};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -124,19 +123,15 @@ fn flight_recorders_dump_and_are_digest_stable() {
 
 #[test]
 fn fault_plans_are_shared_between_sim_and_live() {
-    // A plan authored against the simulator's clock converts losslessly
-    // to the live harness's schedule and back: one fault model for
-    // both stacks.
-    let plan = FaultPlan::none()
-        .crash(SimTime::from_nanos(2_000_000), 1)
-        .partition(SimTime::from_nanos(5_000_000), vec![0, 1, 0])
-        .heal(SimTime::from_nanos(9_000_000))
-        .restart(SimTime::from_nanos(12_000_000), 1);
-    let schedule: NemesisPlan = plan.to_schedule();
+    // The simulator's `RingSimConfig::faults` is this same schedule
+    // type: one fault model for both stacks. The plan drives a
+    // nemesis run directly.
+    let schedule = NemesisPlan::none()
+        .crash(Duration::from_millis(2), 1)
+        .partition(Duration::from_millis(5), vec![0, 1, 0])
+        .heal(Duration::from_millis(9))
+        .restart(Duration::from_millis(12), 1);
     assert_eq!(schedule.events().len(), 4);
-    assert_eq!(FaultPlan::from_schedule(&schedule).to_schedule(), schedule);
-
-    // And the converted plan drives a live-harness run directly.
     let mut r = NemesisRunner::new(3, ProtocolConfig::accelerated(), schedule, 0.0, 11);
     for i in 0..3 {
         r.submit(i, format!("pre-{i}").as_bytes(), ServiceType::Agreed);

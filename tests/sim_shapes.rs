@@ -3,9 +3,11 @@
 //! kind of margin. These are the machine-checked versions of the claims
 //! `EXPERIMENTS.md` documents.
 
-use accelerated_ring::core::{ProtocolConfig, ServiceType, TimeoutConfig};
+use std::time::Duration;
+
+use accelerated_ring::core::{FaultSchedule, ProtocolConfig, ServiceType, TimeoutConfig};
 use accelerated_ring::sim::{
-    run_ring, FaultPlan, ImplProfile, LoadMode, NetworkConfig, RingSimConfig, SimDuration, SimTime,
+    run_ring, ImplProfile, LoadMode, NetworkConfig, RingSimConfig, SimDuration,
 };
 
 fn cfg(
@@ -28,7 +30,7 @@ fn cfg(
         duration: SimDuration::from_millis(120),
         warmup: SimDuration::from_millis(60),
         seed: 7,
-        faults: FaultPlan::none(),
+        faults: FaultSchedule::none(),
         verify_order: false,
     }
 }
@@ -267,7 +269,7 @@ fn faults_crash_mid_run_keeps_delivering() {
     c.n_hosts = 4;
     c.duration = SimDuration::from_millis(400);
     c.warmup = SimDuration::from_millis(10);
-    c.faults = FaultPlan::none().crash(SimTime::ZERO + SimDuration::from_millis(80), 2);
+    c.faults = FaultSchedule::none().crash(Duration::from_millis(80), 2);
     let r = run_ring(&c);
     assert!(
         r.achieved_bps > 40e6,
@@ -293,12 +295,9 @@ fn faults_partition_and_heal_reunifies() {
     );
     c.duration = SimDuration::from_millis(700);
     c.warmup = SimDuration::from_millis(10);
-    c.faults = FaultPlan::none()
-        .partition(
-            SimTime::ZERO + SimDuration::from_millis(60),
-            vec![0, 0, 0, 0, 1, 1, 1, 1],
-        )
-        .heal(SimTime::ZERO + SimDuration::from_millis(200));
+    c.faults = FaultSchedule::none()
+        .partition(Duration::from_millis(60), vec![0, 0, 0, 0, 1, 1, 1, 1])
+        .heal(Duration::from_millis(200));
     let r = run_ring(&c);
     // Offered is 80 Mbps aggregate; each delivered message counts at
     // every participant of its component. If the merge failed, both

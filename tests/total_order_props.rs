@@ -1,12 +1,170 @@
 //! Property-based tests of the ordering protocol's core guarantees
 //! under randomized workloads, configurations, and message loss.
+//!
+//! The runs drive a [`World`] with a small lossy scheduler, and the
+//! world's oracles judge every run: EVS ordering and agreement, the
+//! token's `rtr` bound and the pre/post-token send split.
 
-mod common;
-
-use accelerated_ring::core::{PriorityMethod, ProtocolConfig, ProtocolVariant, ServiceType};
+use accelerated_ring::core::{
+    Delivery, PriorityMethod, ProtocolConfig, ProtocolVariant, ServiceType, TimerKind,
+};
+use accelerated_ring::net::replay::{Hooks, Inflight, Step, World};
 use bytes::Bytes;
-use common::{assert_identical_logs, assert_safety, LossyNet};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// What the world reports to the scheduler: per-copy loss, decided as
+/// each copy is sent, and the hosts' delivery logs.
+struct Wire {
+    rng: StdRng,
+    loss: f64,
+    logs: Vec<Vec<Delivery>>,
+}
+
+impl Hooks for Wire {
+    fn send(&mut self, _msg: &Inflight) -> bool {
+        !(self.loss > 0.0 && self.rng.gen::<f64>() < self.loss)
+    }
+
+    fn delivered(&mut self, host: u16, d: Delivery) {
+        self.logs[host as usize].push(d);
+    }
+}
+
+/// The membership timers an escalation fires, in order.
+const MEMBERSHIP: [TimerKind; 5] = [
+    TimerKind::TokenLoss,
+    TimerKind::Join,
+    TimerKind::ConsensusTimeout,
+    TimerKind::CommitTimeout,
+    TimerKind::ConsensusTimeout,
+];
+
+/// A FIFO, lossy scheduler over [`World`], deterministic per seed: the
+/// oldest copy in flight arrives next, each copy is lost on the wire
+/// with probability `loss`, and a silent network fires the armed
+/// timers real timeouts would.
+struct LossyRing {
+    world: World,
+    wire: Wire,
+}
+
+impl LossyRing {
+    fn new(n: u16, cfg: ProtocolConfig, loss: f64, seed: u64) -> LossyRing {
+        LossyRing {
+            world: World::ring(n, cfg),
+            wire: Wire {
+                rng: StdRng::seed_from_u64(seed),
+                loss,
+                logs: vec![Vec::new(); n as usize],
+            },
+        }
+    }
+
+    /// A started ring whose hosts submitted `workload` (payloads `m0`,
+    /// `m1`, …), with the number of messages submitted.
+    fn loaded(
+        n: u16,
+        cfg: ProtocolConfig,
+        loss: f64,
+        seed: u64,
+        workload: &[(usize, ServiceType)],
+    ) -> (LossyRing, usize) {
+        let mut net = LossyRing::new(n, cfg, loss, seed);
+        for (count, (who, service)) in workload.iter().enumerate() {
+            net.submit(who % n as usize, Bytes::from(format!("m{count}")), *service);
+        }
+        net.start();
+        (net, workload.len())
+    }
+
+    fn submit(&mut self, i: usize, payload: Bytes, service: ServiceType) {
+        self.world
+            .submit(i as u16, payload, service)
+            .expect("test queues are small");
+    }
+
+    fn start(&mut self) {
+        self.world.start_with(&mut self.wire);
+    }
+
+    fn done(&self, expected: usize) -> bool {
+        self.wire.logs.iter().all(|l| l.len() >= expected)
+    }
+
+    /// Delivers the oldest copy in flight until the network is idle or
+    /// every host has delivered `expected` messages.
+    fn run(&mut self, expected: usize) {
+        for _ in 0..200_000 {
+            let Some(msg) = self.world.inflight().first().map(|m| m.id) else {
+                return;
+            };
+            if self.done(expected) {
+                return;
+            }
+            self.world
+                .apply_step_with(&Step::Deliver { msg }, &mut self.wire)
+                .expect("in flight");
+        }
+    }
+
+    /// Fires every armed timer of each kind in `kinds`, in host order,
+    /// and runs the fallout after each kind.
+    fn fire(&mut self, kinds: &[TimerKind], expected: usize) {
+        for &kind in kinds {
+            for step in self.world.enabled() {
+                if matches!(step, Step::Timer { kind: k, .. } if k == kind) {
+                    self.world.apply_step_with(&step, &mut self.wire).unwrap();
+                }
+            }
+            self.run(expected);
+        }
+    }
+
+    /// Drives the ring until every host has delivered `expected`
+    /// messages or `rounds` escalations are spent. Returns true on
+    /// completion. Escalation mirrors what real timers would do when
+    /// the network falls silent: first token retransmissions, then
+    /// (rarely) a full membership pass.
+    fn drive_until_delivered(&mut self, expected: usize, rounds: usize) -> bool {
+        for round in 0..rounds {
+            self.run(expected);
+            if self.done(expected) {
+                return true;
+            }
+            if !self.world.inflight().is_empty() {
+                continue;
+            }
+            self.fire(&[TimerKind::TokenRetransmit], expected);
+            if !self.done(expected) && round % 8 == 7 && self.world.inflight().is_empty() {
+                self.fire(&MEMBERSHIP, expected);
+            }
+        }
+        self.done(expected)
+    }
+
+    /// Panics with every oracle violation, if any: increasing seq per
+    /// ring, no duplicates, agreement on content, per-sender FIFO.
+    fn assert_safety(&self) {
+        let v = self.world.violations();
+        assert!(v.is_empty(), "oracle violations: {v:#?}");
+    }
+
+    /// Asserts that all logs are exactly identical (usable when no
+    /// membership change occurred).
+    fn assert_identical_logs(&self) {
+        let order = |l: &[Delivery]| {
+            l.iter()
+                .map(|d| (d.seq, d.payload.clone()))
+                .collect::<Vec<_>>()
+        };
+        let first = order(&self.wire.logs[0]);
+        for (i, log) in self.wire.logs.iter().enumerate() {
+            assert_eq!(order(log), first, "P{i} diverged");
+        }
+    }
+}
 
 fn arb_config() -> impl Strategy<Value = ProtocolConfig> {
     (1u32..8, 0u32..6, prop::bool::ANY, prop::bool::ANY).prop_map(
@@ -57,20 +215,13 @@ proptest! {
         workload_seed in arb_workload(5),
         seed in any::<u64>(),
     ) {
-        let mut net = LossyNet::new(n, cfg, 0.0, seed);
-        let mut count = 0;
-        for (who, service) in &workload_seed {
-            let who = who % n as usize;
-            net.submit(who, Bytes::from(format!("m{count}")), *service);
-            count += 1;
-        }
-        net.start();
+        let (mut net, count) = LossyRing::loaded(n, cfg, 0.0, seed, &workload_seed);
         let ok = net.drive_until_delivered(count, 64);
         prop_assert!(ok, "did not converge: {:?}",
-                     net.logs.iter().map(Vec::len).collect::<Vec<_>>());
-        assert_safety(&net);
-        assert_identical_logs(&net);
-        prop_assert_eq!(net.delivered(0), count);
+                     net.wire.logs.iter().map(Vec::len).collect::<Vec<_>>());
+        net.assert_safety();
+        net.assert_identical_logs();
+        prop_assert_eq!(net.wire.logs[0].len(), count);
     }
 
     /// With loss, safety invariants always hold, and with the
@@ -83,22 +234,15 @@ proptest! {
         loss in 0.01f64..0.25,
         seed in any::<u64>(),
     ) {
-        let mut net = LossyNet::new(n, cfg, loss, seed);
-        let mut count = 0;
-        for (who, service) in &workload_seed {
-            let who = who % n as usize;
-            net.submit(who, Bytes::from(format!("m{count}")), *service);
-            count += 1;
-        }
-        net.start();
+        let (mut net, count) = LossyRing::loaded(n, cfg, loss, seed, &workload_seed);
         let converged = net.drive_until_delivered(count, 200);
         // Safety must hold whether or not we converged (membership
         // changes may have excluded members in pathological runs).
-        assert_safety(&net);
+        net.assert_safety();
         if converged {
             // If everyone delivered everything, the logs must agree on
             // the shared ring prefix.
-            for log in &net.logs {
+            for log in &net.wire.logs {
                 prop_assert!(log.len() >= count);
             }
         }
@@ -118,17 +262,10 @@ proptest! {
         loss in 0.0f64..0.35,
         seed in any::<u64>(),
     ) {
-        let mut net = LossyNet::new(n, cfg, loss, seed);
-        let mut count = 0;
-        for (who, service) in &workload_seed {
-            let who = who % n as usize;
-            net.submit(who, Bytes::from(format!("m{count}")), *service);
-            count += 1;
-        }
-        net.start();
+        let (mut net, count) = LossyRing::loaded(n, cfg, loss, seed, &workload_seed);
         let _ = net.drive_until_delivered(count, 100);
-        prop_assert!(net.monitor.tokens_seen() > 0, "no tokens observed");
-        let violations = net.monitor.check().err().unwrap_or_default();
+        prop_assert!(net.world.tokens_seen() > 0, "no tokens observed");
+        let violations = net.world.oracle_report().token;
         prop_assert!(violations.is_empty(), "token rule violations: {violations:?}");
     }
 
@@ -141,7 +278,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = ProtocolConfig::accelerated().with_personal_window(3);
-        let mut net = LossyNet::new(n, cfg, 0.0, seed);
+        let mut net = LossyRing::new(n, cfg, 0.0, seed);
         for i in 0..n as usize {
             for k in 0..per_sender {
                 net.submit(i, Bytes::from(format!("p{i}-{k}")), ServiceType::Agreed);
@@ -150,9 +287,9 @@ proptest! {
         net.start();
         let total = n as usize * per_sender;
         prop_assert!(net.drive_until_delivered(total, 64));
-        assert_safety(&net);
+        net.assert_safety();
         // Check the textual per-sender order explicitly.
-        for log in &net.logs {
+        for log in &net.wire.logs {
             let mut next_k = vec![0usize; n as usize];
             for d in log {
                 let text = String::from_utf8_lossy(&d.payload).into_owned();
@@ -178,14 +315,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = ProtocolConfig::accelerated().with_personal_window(2);
-        let mut net = LossyNet::new(n, cfg, 0.0, seed);
+        let mut net = LossyRing::new(n, cfg, 0.0, seed);
         net.submit(0, Bytes::from_static(b"safe-1"), ServiceType::Safe);
         net.submit(1 % n as usize, Bytes::from_static(b"safe-2"), ServiceType::Safe);
         net.start();
         prop_assert!(net.drive_until_delivered(2, 64));
         // After convergence every log contains both, in the same order.
-        assert_identical_logs(&net);
-        assert_safety(&net);
+        net.assert_identical_logs();
+        net.assert_safety();
     }
 }
 
@@ -196,7 +333,7 @@ fn large_mixed_run_is_consistent() {
     let cfg = ProtocolConfig::accelerated()
         .with_personal_window(5)
         .with_accelerated_window(3);
-    let mut net = LossyNet::new(6, cfg, 0.02, 12345);
+    let mut net = LossyRing::new(6, cfg, 0.02, 12345);
     let mut count = 0;
     for round in 0..20 {
         for i in 0..6 {
@@ -213,9 +350,9 @@ fn large_mixed_run_is_consistent() {
     assert!(
         net.drive_until_delivered(count, 300),
         "converged: {:?}",
-        net.logs.iter().map(Vec::len).collect::<Vec<_>>()
+        net.wire.logs.iter().map(Vec::len).collect::<Vec<_>>()
     );
-    assert_safety(&net);
-    assert_identical_logs(&net);
-    assert_eq!(net.delivered(0), count);
+    net.assert_safety();
+    net.assert_identical_logs();
+    assert_eq!(net.wire.logs[0].len(), count);
 }
