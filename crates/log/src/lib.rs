@@ -18,11 +18,17 @@
 //!   truncates the torn tail at the first bad CRC (later segments are
 //!   removed — nothing past a corruption resurrects), and hands back
 //!   ring identity, delivery cursor, and the undelivered suffix.
+//! * **Safe-durability gate** — [`DeliveryGate`] ([`gate`]) owns the
+//!   log and decides when each ordered delivery may surface: Safe
+//!   deliveries wait for their record to be durable, a step never ends
+//!   with anything withheld, and cursor and ring records are written
+//!   along the way. `ar-net`'s runtime (what `ard` runs) and its
+//!   deterministic nemesis harness both call this one gate.
 //!
 //! The crate is deliberately clock-free and dependency-free: time is
-//! injected (`maybe_sync(now_nanos)`), matching the sans-io discipline
-//! of `ar-core`, and everything down to the CRC table is implemented
-//! here.
+//! injected (`maybe_sync(now_nanos)`, `end_step(now_nanos, ..)`),
+//! matching the sans-io discipline of `ar-core`, and everything down
+//! to the CRC table is implemented here.
 //!
 //! ```
 //! use ar_log::{FsyncPolicy, LogConfig, LogRecord, SegmentedLog};
@@ -45,8 +51,11 @@
 #![warn(missing_docs)]
 
 pub mod crc;
+pub mod gate;
 pub mod log;
 pub mod record;
+
+pub use crate::gate::{DeliveryGate, CURSOR_EVERY};
 
 pub use crate::log::{
     read_log_dir, FsyncPolicy, LogConfig, LogStats, Lsn, Recovered, SegmentedLog,

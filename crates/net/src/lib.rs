@@ -13,7 +13,11 @@
 //!   hub for concurrent tests and examples;
 //! * [`Runtime`] — the single-threaded daemon main loop: receive with
 //!   the protocol's current priority preference, handle, execute
-//!   actions, fire timers, and park an idle token ([`hold`]).
+//!   actions, fire timers, park an idle token ([`hold`]), and pass
+//!   deliveries through a durable log's [`ar_log::DeliveryGate`] when
+//!   one is attached;
+//! * [`ChaosTransport`] ([`chaos`]) — seeded loss, crashes and outbound
+//!   partitions around any transport, for live rings.
 //!
 //! It also holds the one fake-time environment: [`World`]
 //! ([`replay`]), a deterministic ring whose in-flight messages and
@@ -22,7 +26,9 @@
 //! its steps: the explorer (`ar-explore`) by exhaustive search,
 //! [`replay_schedule`] from a recorded schedule, and [`NemesisRunner`]
 //! ([`nemesis`]) from a virtual clock, a seeded lossy network and a
-//! fault plan.
+//! fault plan. The nemesis puts durable logs behind the same
+//! `DeliveryGate` the runtime uses, so its durability oracle checks
+//! the gate `ard` ships.
 //!
 //! ## Example: a ring of three on in-process transports, one thread
 //!

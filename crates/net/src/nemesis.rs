@@ -9,14 +9,17 @@
 //!   armed timers and oracle input, exactly as it does for the
 //!   explorer; the runner only decides *when* things happen. It keeps a
 //!   **virtual clock** and an `(at, id)` event heap, draws per-copy
-//!   loss and jitter from a seeded RNG, and folds the plan into a
-//!   [`Connectivity`] matrix that it mirrors onto the world (a crash is
-//!   [`Step::Fail`], a restart is [`World::restart_with`], a partition
-//!   is [`World::set_components`]). On top it adds what only a timed
-//!   run has: durable logs with Safe gating, rotation-fed adaptive
-//!   timeouts, host stalls and per-host flight recorders. Given the
-//!   same plan and seed, a run is **bit-identical**: the
-//!   [`NemesisOutcome::digest`] can be compared across repeats.
+//!   loss and jitter from a seeded RNG, and applies each plan event to
+//!   the world, which is the one record of who is up and who reaches
+//!   whom (a crash is [`Step::Fail`], a restart is
+//!   [`World::restart_with`], a partition is [`World::set_components`]).
+//!   On top it adds what only a timed run has: rotation-fed adaptive
+//!   timeouts, host stalls, per-host flight recorders, and durable logs
+//!   behind [`ar_log::DeliveryGate`], the Safe-durability gate `ard`'s
+//!   runtime runs, called per step exactly as the runtime calls it (a
+//!   crash drops the gate unsynced). Given the same plan and seed, a
+//!   run is **bit-identical**: the [`NemesisOutcome::digest`] can be
+//!   compared across repeats.
 //! * live mode — a real multi-threaded ring of daemons wrapped in
 //!   [`crate::chaos::ChaosTransport`]s; [`apply_connectivity`]
 //!   translates the same plan's connectivity matrix onto the
@@ -28,7 +31,8 @@
 //! simulator's `RingSimConfig::faults` takes too, so one fault scenario
 //! drives all three harnesses.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::io;
 use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -40,7 +44,7 @@ use ar_core::{
     AdaptiveConfig, AdaptiveTimeouts, ConfigChange, ConfigChangeKind, Delivery, Message,
     Participant, ParticipantId, ProtocolConfig, RingId, ServiceType, TimeoutConfig, TimerKind,
 };
-use ar_log::{DeliveryRecord, FsyncPolicy, LogConfig, LogRecord, SegmentedLog};
+use ar_log::{DeliveryGate, FsyncPolicy, LogConfig, SegmentedLog};
 use ar_telemetry::FlightRecorder;
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -204,22 +208,13 @@ impl NemesisOutcome {
 /// Events retained per host by the harness's flight recorders.
 const FLIGHT_CAPACITY: usize = 256;
 
-/// One host's durable log inside the virtual-clock harness.
-#[derive(Debug)]
-struct HostDurable {
-    log: SegmentedLog,
-    gate_safe: bool,
-    /// Deliveries appended but withheld pending durability, in order.
-    held: VecDeque<Delivery>,
-}
-
 fn host_log_dir(base: &std::path::Path, host: usize) -> PathBuf {
     base.join(format!("host-{host}"))
 }
 
 /// The runner's clock and network: the event heap, the lossy links,
-/// timer deadlines and the durable logs. The world's [`Hooks`] land
-/// here.
+/// timer deadlines and the durable-log gates. The world's [`Hooks`]
+/// land here.
 #[derive(Debug)]
 struct Net {
     clock: u64,
@@ -237,10 +232,10 @@ struct Net {
     host_loss: Vec<f64>,
     link_latency: u64,
     dropped: u64,
-    /// Per-host durable logs (None until
-    /// [`enable_durable_logs`](NemesisRunner::enable_durable_logs), and
-    /// while a host is down).
-    durable: Vec<Option<HostDurable>>,
+    /// Per-host durable logs behind the Safe-durability gate (None
+    /// until [`enable_durable_logs`](NemesisRunner::enable_durable_logs),
+    /// and while a host is down).
+    gates: Vec<Option<DeliveryGate>>,
     durability: DurabilityChecker,
 }
 
@@ -266,17 +261,26 @@ impl Surface<'_> {
         self.logs[host].push(d);
     }
 
-    /// Forces `host`'s log to disk and surfaces everything withheld.
-    fn release_held(&mut self, host: usize) {
-        let Some(dur) = self.net.durable[host].as_mut() else {
-            return;
-        };
-        if !dur.held.is_empty() {
-            dur.log.sync().expect("nemesis durable log sync");
-            for d in std::mem::take(&mut dur.held) {
-                self.surface(host, d);
-            }
+    /// Runs one call of `host`'s gate (nothing without a durable log)
+    /// and surfaces what it released.
+    fn gated(
+        &mut self,
+        host: usize,
+        call: impl FnOnce(&mut DeliveryGate, &mut Vec<Delivery>) -> io::Result<()>,
+    ) {
+        let mut out = Vec::new();
+        if let Some(gate) = self.net.gates[host].as_mut() {
+            call(gate, &mut out).expect("nemesis durable log");
         }
+        for d in out {
+            self.surface(host, d);
+        }
+    }
+
+    /// `host`'s step ends at the current virtual time.
+    fn end_step(&mut self, host: usize) {
+        let now = self.net.clock;
+        self.gated(host, |gate, out| gate.end_step(now, out));
     }
 }
 
@@ -322,52 +326,18 @@ impl Hooks for Surface<'_> {
         );
     }
 
-    /// Appends `d` to the host's durable log (if any) and either
-    /// surfaces it or withholds it pending durability.
     fn delivered(&mut self, host: u16, d: Delivery) {
         let host = host as usize;
-        let clock = self.net.clock;
-        if let Some(dur) = self.net.durable[host].as_mut() {
-            let lsn = dur
-                .log
-                .append(&LogRecord::Delivery(DeliveryRecord {
-                    ring: d.ring_id,
-                    seq: d.seq,
-                    pid: d.pid,
-                    service: d.service,
-                    payload: d.payload.clone(),
-                }))
-                .expect("nemesis durable log append");
-            let _ = dur.log.maybe_sync(clock);
-            // One withheld delivery gates everything ordered after it,
-            // so the surfaced order stays the total order.
-            let must_hold = dur.gate_safe
-                && (!dur.held.is_empty()
-                    || (d.service == ServiceType::Safe && lsn > dur.log.durable_lsn()));
-            if must_hold {
-                dur.held.push_back(d);
-                return;
-            }
+        if self.net.gates[host].is_none() {
+            self.surface(host, d);
+        } else {
+            self.gated(host, |gate, out| gate.deliver(d, out));
         }
-        self.surface(host, d);
     }
 
     fn config(&mut self, host: u16, c: ConfigChange) {
         let host = host as usize;
-        // EVS: deliveries belong to the configuration they were ordered
-        // in, so anything withheld must surface before the view change
-        // does.
-        self.release_held(host);
-        if c.kind == ConfigChangeKind::Regular {
-            if let Some(dur) = self.net.durable[host].as_mut() {
-                dur.log
-                    .append(&LogRecord::Ring {
-                        ring: c.ring_id,
-                        members: c.members.clone(),
-                    })
-                    .expect("nemesis durable log append");
-            }
-        }
+        self.gated(host, |gate, out| gate.config(&c, out));
         self.configs[host].push(c);
     }
 }
@@ -381,7 +351,6 @@ pub struct NemesisRunner {
     n: usize,
     world: World,
     net: Net,
-    conn: Connectivity,
     plan: NemesisPlan,
     /// Scripted submissions, loss changes and stalls not yet due.
     scripted: usize,
@@ -455,10 +424,9 @@ impl NemesisRunner {
                 // token-loss timeout so healthy rotations never time out.
                 link_latency: 50_000,
                 dropped: 0,
-                durable: (0..n).map(|_| None).collect(),
+                gates: (0..n).map(|_| None).collect(),
                 durability: DurabilityChecker::new(),
             },
-            conn: Connectivity::full(n),
             plan,
             scripted: 0,
             stalled_until: vec![0; n],
@@ -488,15 +456,14 @@ impl NemesisRunner {
     }
 
     /// Applies one world step acting on `host` at the current virtual
-    /// time. Bounded gate latency: anything withheld in the step's batch
-    /// is forced durable and surfaced before the harness moves on (one
-    /// fsync per batch, whatever the policy).
+    /// time, then ends the step at `host`'s gate, as `ard`'s runtime
+    /// does after each of its steps.
     fn step(&mut self, host: usize, step: &Step) -> Result<(), ScheduleError> {
         let clock = self.net.clock;
         self.world.participant_mut(host as u16).observe_now(clock);
         let (world, mut surface) = self.split();
         let applied = world.apply_step_with(step, &mut surface);
-        surface.release_held(host);
+        surface.end_step(host);
         applied
     }
 
@@ -537,7 +504,7 @@ impl NemesisRunner {
         let (world, mut surface) = self.split();
         world.start_with(&mut surface);
         for i in 0..n {
-            surface.release_held(i);
+            surface.end_step(i);
         }
     }
 
@@ -609,12 +576,14 @@ impl NemesisRunner {
     }
 
     /// Gives every host a durable segmented log under
-    /// `base/host-<i>`, appended at delivery time. A [`FaultEvent::Crash`]
-    /// then models `kill -9`: the host's in-memory log handle is dropped
-    /// without a flush (buffered records die with the process) while
-    /// the on-disk segments survive; a [`FaultEvent::Restart`] reopens
-    /// the directory, truncating any torn tail. With `gate_safe` set,
-    /// Safe deliveries are surfaced only once their record is fsynced.
+    /// `base/host-<i>` behind the [`DeliveryGate`] `ard` runs: every
+    /// delivery is appended when it is ordered, and with `gate_safe`
+    /// set Safe deliveries are surfaced only once their record is
+    /// fsynced. A [`FaultEvent::Crash`] then models `kill -9`: the
+    /// host's gate is dropped without a flush (buffered records die
+    /// with the process) while the on-disk segments survive; a
+    /// [`FaultEvent::Restart`] reopens the directory, truncating any
+    /// torn tail.
     /// At the end of the run every host's disk is scanned and checked
     /// against the surfaced Safe deliveries by a [`DurabilityChecker`].
     ///
@@ -641,17 +610,12 @@ impl NemesisRunner {
         if let Some((base, fsync, gate_safe)) = &self.durable_cfg {
             let cfg = LogConfig::new(host_log_dir(base, i)).with_fsync(*fsync);
             let (log, _) = SegmentedLog::open(cfg).expect("open nemesis durable log");
-            self.net.durable[i] = Some(HostDurable {
-                log,
-                gate_safe: *gate_safe,
-                held: VecDeque::new(),
-            });
+            self.net.gates[i] = Some(DeliveryGate::new(log, *gate_safe));
         }
     }
 
     fn handle_fault(&mut self, idx: usize) {
         let (_, ev) = self.plan.events()[idx].clone();
-        self.conn.apply(&ev);
         match ev {
             FaultEvent::Crash { host } => {
                 // The plan, not an exploration budget, bounds crashes.
@@ -660,10 +624,10 @@ impl NemesisRunner {
                 // flight to it is lost; its logs survive. A crash of a
                 // host already down changes nothing.
                 let _ = self.world.apply_step(&Step::Fail { host: host as u16 });
-                // kill -9: the in-memory log handle dies with the
+                // kill -9: the gate and its log handle die with the
                 // process. Buffered (never-flushed) records are lost;
                 // whatever reached the OS survives on disk.
-                self.net.durable[host] = None;
+                self.net.gates[host] = None;
             }
             FaultEvent::Restart { host } => {
                 // A restarted host is a fresh incarnation: empty
@@ -684,7 +648,7 @@ impl NemesisRunner {
                 self.open_durable(host);
                 let (world, mut surface) = self.split();
                 world.restart_with(host as u16, fresh, &mut surface);
-                surface.release_held(host);
+                surface.end_step(host);
             }
             FaultEvent::Partition { component_of } => self.world.set_components(&component_of),
             FaultEvent::Heal => self.world.set_components(&vec![0; self.n]),
@@ -730,7 +694,7 @@ impl NemesisRunner {
                         .expect("the message is in flight");
                 }
                 EvKind::Timer { host, kind, arm } => {
-                    if self.conn.is_crashed(host) {
+                    if self.world.is_failed(host as u16) {
                         continue;
                     }
                     // A later arm superseded this deadline; a cancel
@@ -754,7 +718,7 @@ impl NemesisRunner {
                     service,
                 } => {
                     self.scripted -= 1;
-                    if !self.conn.is_crashed(host) {
+                    if !self.world.is_failed(host as u16) {
                         self.submit(host, &payload, service);
                     }
                 }
@@ -801,7 +765,9 @@ impl NemesisRunner {
     }
 
     fn survivors(&self) -> Vec<usize> {
-        (0..self.n).filter(|&i| !self.conn.is_crashed(i)).collect()
+        (0..self.n)
+            .filter(|&i| !self.world.is_failed(i as u16))
+            .collect()
     }
 
     fn is_converged(&self) -> bool {
@@ -814,9 +780,10 @@ impl NemesisRunner {
             .iter()
             .map(|&i| ParticipantId::new(i as u16))
             .collect();
+        let component = self.world.component_of(first as u16);
         let all_partitions_healed = survivors
             .iter()
-            .all(|&i| survivors.iter().all(|&j| self.conn.can_reach(i, j)));
+            .all(|&i| self.world.component_of(i as u16) == component);
         all_partitions_healed
             && survivors.iter().all(|&i| {
                 let p = self.participant(i);
@@ -835,17 +802,15 @@ impl NemesisRunner {
         let survivors = self.survivors();
         let converged = self.is_converged();
         let final_rings: Vec<Option<RingId>> = (0..self.n)
-            .map(|i| (!self.conn.is_crashed(i)).then(|| self.participant(i).ring().id()))
+            .map(|i| (!self.world.is_failed(i as u16)).then(|| self.participant(i).ring().id()))
             .collect();
         let oracles = self.world.oracle_report();
         let mut recovered_records = vec![0u64; self.n];
         if let Some((base, _, _)) = self.durable_cfg.clone() {
             for (i, recovered) in recovered_records.iter_mut().enumerate() {
-                // Live hosts flush their tail first; crashed hosts are
+                // Live hosts shut down cleanly first; crashed hosts are
                 // scanned as their disk was left by the "kill".
-                if let Some(dur) = self.net.durable[i].as_mut() {
-                    dur.log.sync().expect("nemesis durable log sync");
-                }
+                self.split().1.gated(i, |gate, out| gate.flush(out));
                 let rec = ar_log::read_log_dir(&host_log_dir(&base, i))
                     .expect("scan nemesis durable log");
                 *recovered = rec.records;

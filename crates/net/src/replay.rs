@@ -604,7 +604,9 @@ pub trait Hooks {
     /// host's timeout table at that moment.
     fn timer_set(&mut self, _host: u16, _kind: TimerKind, _timeouts: &TimeoutConfig) {}
     /// `host` delivered `d` (the oracles have seen it): a scheduler
-    /// surfaces it, or holds a Safe delivery until it is durable.
+    /// surfaces it, or passes it through the host's
+    /// [`ar_log::DeliveryGate`], which may withhold a Safe delivery
+    /// until its record is durable.
     fn delivered(&mut self, _host: u16, _d: Delivery) {}
     /// `host` installed configuration `c` (the oracles have seen it).
     fn config(&mut self, _host: u16, _c: ConfigChange) {}

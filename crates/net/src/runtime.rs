@@ -7,10 +7,10 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use ar_core::{
-    Action, AdaptiveTimeouts, ConfigChange, ConfigChangeKind, Delivery, Message, Mode, Participant,
-    PriorityMode, RingId, Seq, ServiceType, TimerKind, Token,
+    Action, AdaptiveTimeouts, ConfigChange, Delivery, Message, Mode, Participant, PriorityMode,
+    ServiceType, TimerKind, Token,
 };
-use ar_log::{DeliveryRecord, LogRecord, Lsn, SegmentedLog};
+use ar_log::{DeliveryGate, LogStats, SegmentedLog};
 use bytes::Bytes;
 
 use crate::hold::{IdleHold, Local, Release};
@@ -43,32 +43,6 @@ const MAX_RETRANSMIT_SHIFT: u32 = 6;
 
 use ar_core::backoff::ExpShift;
 
-/// Surfaced deliveries between persisted cursor records. A cursor is a
-/// redelivery watermark, not a correctness requirement (replaying a
-/// suffix twice is idempotent for the daemon), so it is amortized.
-const CURSOR_EVERY: u64 = 128;
-
-/// Durable-log state attached to a runtime: the log itself plus the
-/// Safe-delivery gate.
-#[derive(Debug)]
-struct DurableState {
-    log: SegmentedLog,
-    /// When true, Safe deliveries are withheld from the application
-    /// until their log record is fsynced — "Safe" then means replicated
-    /// **and** locally durable. Deliveries ordered behind a withheld
-    /// Safe message queue behind it so the surfaced order stays the
-    /// total order.
-    gate_safe: bool,
-    /// Deliveries appended but not yet surfaced, in order.
-    held: VecDeque<(Lsn, Delivery)>,
-    /// Surfaced watermark not yet persisted as a cursor record.
-    cursor: Option<(RingId, Seq)>,
-    /// Deliveries surfaced since the last cursor record.
-    since_cursor: u64,
-    /// Sync count already exported to the metrics counter.
-    syncs_exported: u64,
-}
-
 /// A protocol participant bound to a transport and a clock.
 pub struct Runtime<T: Transport> {
     part: Participant,
@@ -100,9 +74,13 @@ pub struct Runtime<T: Transport> {
     submit_times: VecDeque<Instant>,
     /// Reusable scratch for the per-step receive batch.
     inbound: Vec<Message>,
-    /// Durable log, when attached via
+    /// Durable log behind the Safe-durability gate, when attached via
     /// [`attach_durable_log`](Runtime::attach_durable_log).
-    durable: Option<DurableState>,
+    gate: Option<DeliveryGate>,
+    /// Reusable scratch for the deliveries one gate call surfaces.
+    released: Vec<Delivery>,
+    /// The gate's log counters as last exported to the metrics.
+    log_exported: LogStats,
     /// Shared copy of the participant's observer, for runtime-level
     /// events (durable-log recovery) that the core does not see.
     observer: Option<std::sync::Arc<dyn ar_core::Observer>>,
@@ -121,7 +99,7 @@ impl<T: Transport + std::fmt::Debug> std::fmt::Debug for Runtime<T> {
         f.debug_struct("Runtime")
             .field("part", &self.part)
             .field("transport", &self.transport)
-            .field("durable", &self.durable)
+            .field("gate", &self.gate)
             .field("observer", &self.observer.is_some())
             .finish_non_exhaustive()
     }
@@ -161,7 +139,9 @@ impl<T: Transport> Runtime<T> {
             adaptive: None,
             submit_times: VecDeque::new(),
             inbound: Vec::with_capacity(RECV_BATCH_MAX),
-            durable: None,
+            gate: None,
+            released: Vec::new(),
+            log_exported: LogStats::default(),
             observer: None,
             wake_attached: false,
             hold: IdleHold::default(),
@@ -186,10 +166,11 @@ impl<T: Transport> Runtime<T> {
         self.hold = IdleHold::new(self.wake_attached && self.adaptive.is_none());
     }
 
-    /// Attaches a durable log: every delivery is appended at ordering
-    /// time, and — when `gate_safe` is set — Safe deliveries are
-    /// surfaced only once their record is fsynced, so a kill -9 right
-    /// after the application observes a Safe message cannot lose it.
+    /// Attaches a durable log behind an [`ar_log::DeliveryGate`]: every
+    /// delivery is appended at ordering time, and — when `gate_safe` is
+    /// set — Safe deliveries are surfaced only once their record is
+    /// fsynced, so a kill -9 right after the application observes a
+    /// Safe message cannot lose it.
     pub fn attach_durable_log(&mut self, log: SegmentedLog, gate_safe: bool) {
         if let Some(m) = &self.metrics {
             m.log_recovered_records
@@ -205,111 +186,60 @@ impl<T: Transport> Runtime<T> {
                 },
             );
         }
-        self.durable = Some(DurableState {
-            log,
-            gate_safe,
-            held: VecDeque::new(),
-            cursor: None,
-            since_cursor: 0,
-            syncs_exported: 0,
-        });
+        self.gate = Some(DeliveryGate::new(log, gate_safe));
+        self.log_exported = LogStats::default();
     }
 
     /// The attached durable log, if any.
     pub fn durable_log(&self) -> Option<&SegmentedLog> {
-        self.durable.as_ref().map(|d| &d.log)
+        self.gate.as_ref().map(DeliveryGate::log)
     }
 
-    /// Forces the durable log's buffered tail to disk: syncs, surfaces
-    /// any Safe deliveries that were awaiting durability, persists the
-    /// delivery cursor, and syncs again. Returns the surfaced events
-    /// (plus anything else pending). The daemon's graceful-shutdown
-    /// drain calls this so a clean exit never leaves a buffered tail
-    /// behind.
+    /// Forces the durable log's buffered tail to disk
+    /// ([`DeliveryGate::flush`]): syncs, surfaces any Safe deliveries
+    /// that were awaiting durability, persists the delivery cursor, and
+    /// syncs again. Returns the surfaced events (plus anything else
+    /// pending). The daemon's graceful-shutdown drain calls this so a
+    /// clean exit never leaves a buffered tail behind.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from writing or syncing the log.
     pub fn flush_durable_log(&mut self) -> io::Result<Vec<AppEvent>> {
-        if self.durable.is_none() {
-            return Ok(Vec::new());
-        }
-        if let Some(d) = self.durable.as_mut() {
-            d.log.sync()?;
-        }
-        self.release_held();
-        if let Some(d) = self.durable.as_mut() {
-            if let Some((ring, seq)) = d.cursor.take() {
-                d.log.append(&LogRecord::Cursor { ring, seq })?;
-                d.since_cursor = 0;
-            }
-            d.log.sync()?;
-        }
-        self.export_log_metrics();
+        self.gate_call(|gate, out| gate.flush(out))?;
         Ok(std::mem::take(&mut self.events))
     }
 
-    /// Appends `d` to the durable log if one is attached. Returns true
-    /// if the delivery must be withheld (gated on durability, or queued
-    /// behind an already-withheld one).
-    fn durable_append(&mut self, d: &Delivery) -> io::Result<bool> {
-        let Some(dur) = self.durable.as_mut() else {
-            return Ok(false);
+    /// Runs one call of the durable log's gate (nothing without one),
+    /// exports the log's counters, and surfaces what the call released.
+    fn gate_call(
+        &mut self,
+        call: impl FnOnce(&mut DeliveryGate, &mut Vec<Delivery>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let Some(gate) = self.gate.as_mut() else {
+            return Ok(());
         };
-        let lsn = dur.log.append(&LogRecord::Delivery(DeliveryRecord {
-            ring: d.ring_id,
-            seq: d.seq,
-            pid: d.pid,
-            service: d.service,
-            payload: d.payload.clone(),
-        }))?;
+        let mut out = std::mem::take(&mut self.released);
+        let result = call(gate, &mut out);
         if let Some(m) = &self.metrics {
-            m.log_appends.inc();
-        }
-        let must_hold = dur.gate_safe
-            && (!dur.held.is_empty()
-                || (d.service == ServiceType::Safe && lsn > dur.log.durable_lsn()));
-        if must_hold {
-            dur.held.push_back((lsn, d.clone()));
-            if let Some(m) = &self.metrics {
-                m.log_held_safe
-                    .set(i64::try_from(dur.held.len()).unwrap_or(i64::MAX));
-            }
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Surfaces every held delivery whose gate has cleared: Safe
-    /// messages whose record is durable, and anything queued behind a
-    /// Safe message that just cleared.
-    fn release_held(&mut self) {
-        let Some(dur) = self.durable.as_mut() else {
-            return;
-        };
-        if dur.held.is_empty() {
-            return;
-        }
-        let durable = dur.log.durable_lsn();
-        let mut released = Vec::new();
-        while let Some((lsn, d)) = dur.held.front() {
-            if d.service == ServiceType::Safe && *lsn > durable {
-                break;
-            }
-            let (_, d) = dur.held.pop_front().expect("front exists");
-            released.push(d);
-        }
-        if let Some(m) = &self.metrics {
+            let stats = gate.log().stats();
+            m.log_appends
+                .add(stats.appends.saturating_sub(self.log_exported.appends));
+            m.log_syncs
+                .add(stats.syncs.saturating_sub(self.log_exported.syncs));
             m.log_held_safe
-                .set(i64::try_from(dur.held.len()).unwrap_or(i64::MAX));
+                .set(i64::try_from(gate.held_len()).unwrap_or(i64::MAX));
+            self.log_exported = stats;
         }
-        for d in released {
+        for d in out.drain(..) {
             self.surface_delivery(d);
         }
+        self.released = out;
+        result
     }
 
-    /// Hands one delivery to the application: metric accounting, cursor
-    /// bookkeeping, event push.
+    /// Hands one delivery to the application: metric accounting and
+    /// the event push.
     fn surface_delivery(&mut self, d: Delivery) {
         if let Some(m) = &self.metrics {
             m.deliveries.inc();
@@ -320,20 +250,7 @@ impl<T: Transport> Runtime<T> {
                 }
             }
         }
-        if let Some(dur) = self.durable.as_mut() {
-            dur.cursor = Some((d.ring_id, d.seq));
-            dur.since_cursor += 1;
-        }
         self.events.push(AppEvent::Delivered(d));
-    }
-
-    /// Mirrors the log's monotone sync count into the metrics counter.
-    fn export_log_metrics(&mut self) {
-        if let (Some(m), Some(dur)) = (&self.metrics, &mut self.durable) {
-            let syncs = dur.log.stats().syncs;
-            m.log_syncs.add(syncs.saturating_sub(dur.syncs_exported));
-            dur.syncs_exported = syncs;
-        }
     }
 
     /// Attaches metric handles; the runtime records token rotation and
@@ -491,9 +408,9 @@ impl<T: Transport> Runtime<T> {
     pub fn next_timer_deadline(&self) -> Option<Instant> {
         let hold = self.hold.deadline().map(|n| self.instant_at(n));
         let sync = self
-            .durable
+            .gate
             .as_ref()
-            .and_then(|d| d.log.sync_due_at())
+            .and_then(|gate| gate.log().sync_due_at())
             .map(|n| self.instant_at(n));
         [self.next_participant_timer(), hold, sync]
             .into_iter()
@@ -561,32 +478,9 @@ impl<T: Transport> Runtime<T> {
                 self.execute(actions)?;
             }
         }
-        // Durable-log housekeeping: interval-policy sync, releasing
-        // Safe deliveries whose records became durable (any policy may
-        // have synced during this step's appends), and the amortized
-        // delivery-cursor record.
-        if self.durable.is_some() {
+        if self.gate.is_some() {
             let now = self.elapsed_nanos();
-            if let Some(dur) = self.durable.as_mut() {
-                dur.log.maybe_sync(now)?;
-                // A withheld Safe delivery bounds the gate's latency at
-                // one step: sync now instead of waiting out a lazy
-                // background policy (one fsync covers the whole burst
-                // this step ordered).
-                if !dur.held.is_empty() {
-                    dur.log.sync()?;
-                }
-            }
-            self.release_held();
-            if let Some(dur) = self.durable.as_mut() {
-                if dur.since_cursor >= CURSOR_EVERY {
-                    if let Some((ring, seq)) = dur.cursor.take() {
-                        dur.log.append(&LogRecord::Cursor { ring, seq })?;
-                    }
-                    dur.since_cursor = 0;
-                }
-            }
-            self.export_log_metrics();
+            self.gate_call(|gate, out| gate.end_step(now, out))?;
         }
         if let Some(m) = &self.metrics {
             m.queue_depth
@@ -707,14 +601,14 @@ impl<T: Transport> Runtime<T> {
                 Action::SendCommit { to, token } => {
                     self.transport.send_to(to, &Message::Commit(token))
                 }
-                Action::Deliver(d) => match self.durable_append(&d) {
-                    Ok(true) => Ok(()), // withheld until its record is durable
-                    Ok(false) => {
+                Action::Deliver(d) => {
+                    if self.gate.is_none() {
                         self.surface_delivery(d);
                         Ok(())
+                    } else {
+                        self.gate_call(|gate, out| gate.deliver(d, out))
                     }
-                    Err(e) => Err(e),
-                },
+                }
                 Action::DeliverConfigChange(c) => {
                     // A membership change may drop locally submitted
                     // messages that never got ordered; their queued
@@ -722,30 +616,9 @@ impl<T: Transport> Runtime<T> {
                     // against *later* deliveries and permanently skew
                     // every subsequent latency sample.
                     self.submit_times.clear();
-                    // EVS confines messages to the configuration they
-                    // were ordered in: anything still gated on
-                    // durability must surface *before* the view change,
-                    // so force the log down and release the queue.
-                    let mut log_result = Ok(());
-                    if let Some(dur) = self.durable.as_mut() {
-                        if !dur.held.is_empty() {
-                            log_result = dur.log.sync();
-                        }
-                    }
-                    if log_result.is_ok() {
-                        self.release_held();
-                        if let Some(dur) = self.durable.as_mut() {
-                            if c.kind == ConfigChangeKind::Regular {
-                                log_result = dur
-                                    .log
-                                    .append(&LogRecord::Ring {
-                                        ring: c.ring_id,
-                                        members: c.members.clone(),
-                                    })
-                                    .map(|_| ());
-                            }
-                        }
-                    }
+                    // EVS: anything still gated on durability surfaces
+                    // before the view change.
+                    let log_result = self.gate_call(|gate, out| gate.config(&c, out));
                     self.events.push(AppEvent::ConfigChanged(c));
                     log_result
                 }
@@ -789,7 +662,7 @@ mod tests {
     use super::*;
     use crate::loopback::LoopbackNet;
     use crate::metrics::NetMetrics;
-    use ar_core::{ParticipantId, ProtocolConfig, RingId};
+    use ar_core::{ParticipantId, ProtocolConfig, RingId, Seq};
 
     fn pids(n: u16) -> Vec<ParticipantId> {
         (0..n).map(ParticipantId::new).collect()

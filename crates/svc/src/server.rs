@@ -67,7 +67,9 @@
 //! subscriber drops a local copy that repeats the publisher's last
 //! stamp.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
@@ -78,7 +80,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ar_core::{ParticipantId, SplitMix64};
+use ar_core::ParticipantId;
 use ar_daemon::daemon::RingPressure;
 use ar_daemon::{
     ClientError, ClientEvent, DaemonClient, DaemonConnector, DaemonHandle, MemberId, ShardMap,
@@ -442,7 +444,8 @@ fn serve_shards(
         sessions: HashMap::new(),
         by_name: HashMap::new(),
         retired_stamps: 0,
-        session_ids: SplitMix64::new(session_salt()),
+        session_keys: RandomState::new(),
+        sessions_drawn: 0,
         poll: PollSet::new(),
         waker,
         wake_rx,
@@ -463,16 +466,6 @@ fn serve_shards(
         stats,
         join: Some(join),
     })
-}
-
-/// Seeds the session-id stream from wall clock and pid so tokens from
-/// a previous server incarnation never validate against this one.
-fn session_salt() -> u64 {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    nanos ^ (u64::from(std::process::id()) << 32)
 }
 
 // ---- connection state -----------------------------------------------------
@@ -639,8 +632,12 @@ struct Server {
     /// parked session's eviction never repeats a stamp whose copies
     /// may still be on their way to subscribers.
     retired_stamps: u64,
-    /// Session-id stream.
-    session_ids: SplitMix64,
+    /// Keys of the session-id PRF: std draws them from the OS, so ids
+    /// from a previous server incarnation never validate against this
+    /// one.
+    session_keys: RandomState,
+    /// Session ids drawn so far (the PRF's input).
+    sessions_drawn: u64,
     poll: PollSet,
     /// Handed to every daemon registration; all ring threads signal
     /// the one `wake_rx`.
@@ -1090,9 +1087,12 @@ impl Server {
         self.stats.connected.add(1);
     }
 
+    /// A fresh resume-token identity: a keyed hash of a counter, so
+    /// one id a client sees tells nothing about the next one.
     fn fresh_session_id(&mut self) -> u64 {
         loop {
-            let z = self.session_ids.next_u64();
+            self.sessions_drawn += 1;
+            let z = self.session_keys.hash_one(self.sessions_drawn);
             if z != 0 && !self.sessions.contains_key(&z) {
                 return z;
             }

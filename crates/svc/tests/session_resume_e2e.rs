@@ -426,6 +426,56 @@ fn a_failed_flush_without_resume_is_one_eviction() {
     sharded.shutdown().expect("shutdown");
 }
 
+/// SplitMix64's output step, the finaliser applied to its state.
+fn splitmix_finalise(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The state a SplitMix64 output came from: every step of the
+/// finaliser is a bijection.
+fn splitmix_state_of(out: u64) -> u64 {
+    let unshift = |y: u64, k: u32| (0..64 / k).fold(y, |x, _| y ^ (x >> k));
+    // Newton's iteration doubles the correct low bits of an odd
+    // number's inverse modulo 2^64 per round.
+    let inverse = |c: u64| {
+        (0..6).fold(c, |x: u64, _| {
+            x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)))
+        })
+    };
+    let mut z = unshift(out, 31);
+    z = unshift(z.wrapping_mul(inverse(0x94d0_49bb_1331_11eb)), 27);
+    unshift(z.wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9)), 30)
+}
+
+/// A resume token is a bearer credential: a client that reads its own
+/// session id must not be able to compute the next client's. Ids drawn
+/// from a seeded SplitMix64 fail this, since its output inverts to its
+/// state.
+#[test]
+fn a_session_id_does_not_predict_the_next_one() {
+    assert_eq!(
+        splitmix_state_of(splitmix_finalise(0x1234_5678_9abc_def0)),
+        0x1234_5678_9abc_def0,
+        "the inversion is exact"
+    );
+    let sharded = sharded_daemon(1);
+    let svc = serve_clients_sharded(&sharded, tcp_listeners(), SvcConfig::default())
+        .expect("service tier");
+    let addr = svc.tcp_addr().unwrap();
+    let first = SvcClient::connect_tcp(addr, "first").expect("connect first");
+    let second = SvcClient::connect_tcp(addr, "second").expect("connect second");
+    let state = splitmix_state_of(first.session());
+    let predicted = splitmix_finalise(state.wrapping_add(0x9e37_79b9_7f4a_7c15));
+    assert_ne!(second.session(), predicted, "the second id was predictable");
+    assert_ne!(second.session(), first.session());
+
+    drop((first, second));
+    drop(svc);
+    sharded.shutdown().expect("shutdown");
+}
+
 // ---------------------------------------------------------------------
 // Process-level chaos: a real 2-ring `ard` with a durable log.
 // ---------------------------------------------------------------------
